@@ -1,62 +1,84 @@
 """Schedule-compilation cache: warm replay vs cold recompilation.
 
-Times the two paired bench scenarios — ``schedcache_cold`` recompiles
-the AllReduce schedule for every payload of a sweep, ``schedcache_warm``
-replays the same sweep from one cached timing profile — and enforces
-the hit-path speedup floor the cache exists to provide, plus the
-bit-exactness that makes the replay safe to substitute.
+Times one AllReduce payload sweep two ways — cold recompiles the
+schedule for every payload, warm replays the same sweep from one cached
+timing profile — and enforces the hit-path speedup floor the cache
+exists to provide, plus the bit-exactness that makes the replay safe to
+substitute.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import run_scenario
-from repro.bench.scenarios import (
-    _SCHEDCACHE_PAYLOADS,
-    _schedcache_args,
-    get_scenario,
-)
-from repro.core.schedule import build_schedule, schedule_timing
+import statistics
+import time
+
+from repro.collectives.patterns import Collective
+from repro.config.network import PimnetNetworkConfig
+from repro.core.schedule import Shape, build_schedule, schedule_timing
 from repro.schedcache import ScheduleCache
 
 from .conftest import run_once
+
+#: One structure, several payloads: exactly the shape of a figure sweep,
+#: where the cold path recompiles the schedule per payload and the warm
+#: path replays one cached timing profile.
+COLLECTIVE = Collective.ALL_REDUCE
+SHAPE = Shape(banks=8, chips=4, ranks=2)
+PAYLOADS = (8192, 16384, 32768, 65536)
 
 #: The cache must beat recompilation by at least this factor on the hit
 #: path (measured ~100x; 2x keeps the gate robust on loaded CI boxes).
 MIN_SPEEDUP = 2.0
 
+#: Timed sweeps per path (after one untimed warmup); the median is used.
+REPEATS = 5
 
-def _p50(result) -> float:
-    return result.summary["p50"]
+
+def _median_sweep_s(sweep) -> float:
+    sweep()
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        sweep()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def test_warm_replay_beats_cold_compilation(benchmark, report):
-    cold = run_scenario(get_scenario("schedcache_cold"), repeats=5, warmup=1)
-    warm = run_once(
-        benchmark,
-        run_scenario,
-        get_scenario("schedcache_warm"),
-        repeats=5,
-        warmup=1,
-    )
-    speedup = _p50(cold) / _p50(warm)
+    network = PimnetNetworkConfig()
+    cache = ScheduleCache()
+    cache.profile(COLLECTIVE, SHAPE, network)
+
+    def cold() -> None:
+        for num_elements in PAYLOADS:
+            schedule = build_schedule(COLLECTIVE, SHAPE, num_elements)
+            schedule_timing(schedule, network)
+
+    def warm() -> None:
+        for num_elements in PAYLOADS:
+            cache.timing(COLLECTIVE, SHAPE, num_elements, network)
+
+    cold_s = _median_sweep_s(cold)
+    warm_s = run_once(benchmark, _median_sweep_s, warm)
+    speedup = cold_s / warm_s
     report(
-        f"schedcache: cold p50 {_p50(cold) * 1e3:.2f} ms, "
-        f"warm p50 {_p50(warm) * 1e3:.2f} ms, {speedup:.0f}x speedup"
+        f"schedcache: cold p50 {cold_s * 1e3:.2f} ms, "
+        f"warm p50 {warm_s * 1e3:.2f} ms, {speedup:.0f}x speedup"
     )
     assert speedup >= MIN_SPEEDUP
 
 
 def test_warm_replay_is_bit_exact(report):
-    collective, shape, network = _schedcache_args()
+    network = PimnetNetworkConfig()
     cache = ScheduleCache()
-    cache.profile(collective, shape, network)
-    for num_elements in _SCHEDCACHE_PAYLOADS:
+    cache.profile(COLLECTIVE, SHAPE, network)
+    for num_elements in PAYLOADS:
         fresh = schedule_timing(
-            build_schedule(collective, shape, num_elements), network
+            build_schedule(COLLECTIVE, SHAPE, num_elements), network
         )
-        assert cache.timing(collective, shape, num_elements, network) == fresh
-    assert cache.counters.timing_replays == len(_SCHEDCACHE_PAYLOADS)
+        assert cache.timing(COLLECTIVE, SHAPE, num_elements, network) == fresh
+    assert cache.counters.timing_replays == len(PAYLOADS)
     report(
-        f"schedcache: {len(_SCHEDCACHE_PAYLOADS)} payload replays "
+        f"schedcache: {len(PAYLOADS)} payload replays "
         "bit-identical to fresh compilation"
     )

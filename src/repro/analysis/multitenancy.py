@@ -14,8 +14,8 @@ shared :class:`~repro.observability.histo.LogBucketSketch` (and, when a
 metrics registry is active, in the labeled
 ``tenant.request_latency_s{substrate=..., tenant=...}`` histogram
 family), and the reported p50/p99 come straight out of that sketch —
-the same percentile engine the fault campaigns and the bench harness
-use.
+the same percentile engine the fault campaigns and the metric
+histograms use.
 """
 
 from __future__ import annotations

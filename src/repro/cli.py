@@ -22,11 +22,9 @@ Usage::
     python -m repro conformance run      # cross-model agreement matrix
     python -m repro conformance run --mutate drop-flit   # sensitivity
     python -m repro conformance shrink conformance-*.json
-    python -m repro bench list           # curated timed scenarios
-    python -m repro bench run --out BENCH_new.json
-    python -m repro bench compare BENCH_old.json BENCH_new.json
     python -m repro service bench        # multi-tenant admission bench
     python -m repro serve --tenants 4 --requests 128 --json
+    python3 pimbench/run.py              # benchmark (pimbench/README.md)
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from .config.presets import pimnet_sim_system
 from .config.runner import RunnerConfig
 from .config.trace import TraceConfig
 from .config.units import parse_bytes
-from .errors import ConfigurationError, ReproError
+from .errors import ConfigurationError, ReproError, ScheduleError
 from .observability import Instrumentation, build_instrumentation
 from .runner.cache import DEFAULT_CACHE_DIR, ResultCache
 
@@ -230,7 +228,7 @@ def cmd_schedcache(args: argparse.Namespace) -> int:
             shapes = [_parse_shape(spec) for spec in args.shape] or [
                 _default_shape()
             ]
-        except ValueError as exc:
+        except (ValueError, ScheduleError) as exc:
             print(str(exc), file=sys.stderr)
             return 2
         cache = ScheduleCache(store=ResultCache(args.cache_dir))
@@ -563,81 +561,6 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        SCENARIOS,
-        compare_artifacts,
-        default_artifact_name,
-        load_artifact,
-        run_suite,
-        save_artifact,
-    )
-
-    if args.bench_command == "list":
-        entries = [
-            {"name": s.name, "description": s.description}
-            for s in SCENARIOS.values()
-        ]
-        if getattr(args, "json", False):
-            print(json.dumps({"scenarios": entries}, indent=1))
-            return 0
-        print("bench scenarios:")
-        for entry in entries:
-            print(f"  {entry['name']:24s} {entry['description']}")
-        return 0
-
-    if args.bench_command == "compare":
-        try:
-            report = compare_artifacts(
-                load_artifact(args.old),
-                load_artifact(args.new),
-                threshold=args.threshold,
-            )
-        except ReproError as exc:
-            print(f"bench compare failed: {exc}", file=sys.stderr)
-            return 2
-        if getattr(args, "json", False):
-            print(json.dumps(report.to_dict(), indent=1))
-        elif getattr(args, "markdown", False):
-            print(report.to_markdown())
-        else:
-            print(report.format())
-        return 0 if report.ok else 1
-
-    # run
-    instrumentation = _run_instrumentation(args)
-    try:
-        with instrumentation.activate():
-            artifact = run_suite(
-                names=args.scenario or None,
-                repeats=args.repeats,
-                warmup=args.warmup,
-                tag=args.tag,
-                progress=None
-                if getattr(args, "json", False)
-                else lambda r: print(
-                    f"  {r.name:24s} median {r.median_s * 1e3:9.3f} ms "
-                    f"({r.repeats} repeat(s))",
-                    file=sys.stderr,
-                ),
-            )
-    except ReproError as exc:
-        print(f"bench run failed: {exc}", file=sys.stderr)
-        return 1
-    out = args.out or default_artifact_name(args.tag)
-    try:
-        path = save_artifact(artifact, out)
-    except OSError as exc:
-        print(f"cannot write bench artifact: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "json", False):
-        print(json.dumps(artifact.to_dict(), indent=1))
-    else:
-        print(artifact.format())
-        print(f"wrote {path}")
-    return _write_outputs(instrumentation)
-
-
 def cmd_service(args: argparse.Namespace) -> int:
     """``repro service bench`` / ``repro serve``: drive the multi-tenant
     collective service closed-loop and report admission + latency."""
@@ -648,7 +571,6 @@ def cmd_service(args: argparse.Namespace) -> int:
     )
     from .experiments import tenant_service_load
 
-    instrumentation = _run_instrumentation(args)
     try:
         config = ServiceConfig(
             slots=(
@@ -669,6 +591,11 @@ def cmd_service(args: argparse.Namespace) -> int:
                 max_queued=args.max_queued, max_per_slot=args.max_per_slot
             ),
         )
+    except ConfigurationError as exc:
+        print(f"service bench failed: {exc}", file=sys.stderr)
+        return 1
+    instrumentation = _run_instrumentation(args)
+    try:
         with instrumentation.activate():
             result = tenant_service_load.run(
                 tenants=args.tenants,
@@ -679,6 +606,9 @@ def cmd_service(args: argparse.Namespace) -> int:
                 timeout_s=args.timeout,
             )
             slo_file_report = _evaluate_slo_file(getattr(args, "slo", None))
+    except ConfigurationError as exc:
+        print(f"service bench: {exc}", file=sys.stderr)
+        return 2
     except (ReproError, ValueError, OSError) as exc:
         print(f"service bench failed: {exc}", file=sys.stderr)
         return 1
@@ -787,12 +717,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     # bench / serve: one deterministic trial, optional mid-run kill.
     instrumentation = _run_instrumentation(args)
     kill = args.kill_shard[0] if args.kill_shard else None
-    if kill is not None and not 0 <= kill < args.shards:
-        print(
-            f"--kill-shard {kill} out of range for {args.shards} shard(s)",
-            file=sys.stderr,
-        )
-        return 2
     try:
         with instrumentation.activate():
             value = fleet_resilience.run_trial(
@@ -809,6 +733,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 timeout_s=args.timeout,
             )
             slo_file_report = _evaluate_slo_file(getattr(args, "slo", None))
+    except ConfigurationError as exc:
+        print(f"fleet bench: {exc}", file=sys.stderr)
+        return 2
     except (ReproError, ValueError, OSError) as exc:
         print(f"fleet bench failed: {exc}", file=sys.stderr)
         return 1
@@ -1353,90 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: overwrite the input)",
     )
     p_conf_shrink.set_defaults(func=cmd_conformance)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the curated scenario suite; compare artifacts",
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bench_list = bench_sub.add_parser(
-        "list", help="enumerate the bench scenarios"
-    )
-    p_bench_list.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p_bench_list.set_defaults(func=cmd_bench)
-    p_bench_run = bench_sub.add_parser(
-        "run", help="run the suite and write a BENCH_*.json artifact"
-    )
-    p_bench_run.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    p_bench_run.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        metavar="N",
-        help="timed repetitions per scenario (default: 5)",
-    )
-    p_bench_run.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        metavar="N",
-        help="untimed warmup runs per scenario (default: 1)",
-    )
-    p_bench_run.add_argument(
-        "--tag",
-        default="pr6",
-        metavar="TAG",
-        help="artifact tag, part of the default filename (default: pr6)",
-    )
-    p_bench_run.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="artifact path (default: BENCH_<YYYYMMDD>_<tag>.json)",
-    )
-    p_bench_run.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="also write the bench.wall_s metric snapshot to PATH",
-    )
-    p_bench_run.add_argument(
-        "--json", action="store_true", help="emit the artifact on stdout"
-    )
-    p_bench_run.set_defaults(func=cmd_bench)
-    p_bench_compare = bench_sub.add_parser(
-        "compare",
-        help="noise-aware delta table; exits nonzero on regression",
-    )
-    p_bench_compare.add_argument(
-        "old", help="baseline BENCH_*.json artifact"
-    )
-    p_bench_compare.add_argument(
-        "new", help="candidate BENCH_*.json artifact"
-    )
-    p_bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        metavar="F",
-        help="relative median-shift gate (default: 0.25 = +25%%)",
-    )
-    p_bench_compare.add_argument(
-        "--markdown",
-        action="store_true",
-        help="emit the delta table as GitHub-flavored markdown",
-    )
-    p_bench_compare.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p_bench_compare.set_defaults(func=cmd_bench)
 
     def _service_options(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(

@@ -117,11 +117,6 @@ class PointExecutionError(RunnerError):
         self.params = dict(params) if params else {}
 
 
-class BenchError(ReproError):
-    """The bench harness was misused: unknown scenario, malformed or
-    schema-incompatible artifact, or an ill-formed comparison."""
-
-
 class ServiceError(ReproError):
     """The multi-tenant collective service was misconfigured or misused.
 

@@ -54,7 +54,7 @@ from ..observability import (
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from .common import ExperimentTable
-from .tenant_service_load import TenantSpec
+from .tenant_service_load import TenantSpec, check_load
 
 DEFAULTS = {
     "shards": 3,
@@ -193,6 +193,7 @@ def run_trial(
     """
     from .common import default_machine
 
+    check_load(tenants, requests_per_tenant, concurrency, timeout_s)
     machine = machine or default_machine()
     effective_seed = trial_seed(seed, trial)
     num_dpus = (

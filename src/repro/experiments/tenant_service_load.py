@@ -29,7 +29,7 @@ from ..config.service import (
     TenantQuotaConfig,
     TimeSlotConfig,
 )
-from ..errors import ServiceError
+from ..errors import ConfigurationError, ServiceError
 from ..observability import (
     MetricsRegistry,
     SloObjective,
@@ -116,6 +116,26 @@ def _tenant_specs(
         )
         specs.append(TenantSpec(name=name, pattern=pattern, requests=requests))
     return tuple(specs)
+
+
+def check_load(
+    tenants: int,
+    requests_per_tenant: int,
+    concurrency: int,
+    timeout_s: float | None,
+) -> None:
+    """Reject a closed-loop load that cannot run: with no tenants or no
+    requests there is nothing to drive, with no concurrency every driver
+    waits forever, and a timeout that is not positive expires at once."""
+    for what, value in (
+        ("tenants", tenants),
+        ("requests per tenant", requests_per_tenant),
+        ("concurrency", concurrency),
+    ):
+        if value < 1:
+            raise ConfigurationError(f"{what} must be >= 1, got {value}")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ConfigurationError(f"timeout must be > 0 s, got {timeout_s:g}")
 
 
 def _service_config() -> ServiceConfig:
@@ -214,6 +234,7 @@ def run(
     timeout_s: float | None = None,
 ) -> TenantServiceLoadResult:
     """Drive the service closed-loop and gate the result on SLOs."""
+    check_load(tenants, requests_per_tenant, concurrency, timeout_s)
     machine = machine or default_machine()
     config = config or _service_config()
     num_dpus = (

@@ -91,9 +91,9 @@ def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (``q`` in (0, 100]).
 
     Delegates to the shared :class:`LogBucketSketch`, the one percentile
-    engine the repo uses (metric histograms, bench summaries, per-tenant
-    latencies) — exact here, since campaign samples stay far below the
-    sketch's exact-mode cap.
+    engine the repo uses (metric histograms, per-tenant latencies) —
+    exact here, since campaign samples stay far below the sketch's
+    exact-mode cap.
     """
     if not 0.0 < q <= 100.0:
         raise FaultError(f"percentile q must be in (0, 100], got {q}")

@@ -1,9 +1,9 @@
 """HDR-style log-bucket latency sketch with exact small-sample mode.
 
 :class:`LogBucketSketch` is the one percentile engine the repo shares:
-metric histograms, fault-campaign latency statistics, per-tenant request
-latencies, and bench-suite summaries all extract their p50/p90/p99/p999
-from it, so every report means the same thing by "p99".
+metric histograms, fault-campaign latency statistics and per-tenant
+request latencies all extract their p50/p90/p99/p999 from it, so every
+report means the same thing by "p99".
 
 Two regimes, switched automatically:
 
@@ -26,8 +26,8 @@ property-tested — because the exact→bucketed collapse is a pure
 function of the combined count.
 
 ``to_dict()``/``from_dict()`` round-trip the full state through JSON,
-so a sketch can cross a process boundary or live inside a ``BENCH_*``
-artifact.
+so a sketch can cross a process boundary or live inside a metrics
+dump.
 """
 
 from __future__ import annotations

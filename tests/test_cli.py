@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -332,6 +333,37 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--version"])
         assert excinfo.value.code == 0
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["service", "bench", "--tenants", "0"],
+            ["service", "bench", "--requests", "0"],
+            ["service", "bench", "--concurrency", "0"],
+            ["serve", "--timeout", "-1"],
+            ["fleet", "bench", "--tenants", "0"],
+            ["fleet", "bench", "--requests", "0"],
+            ["fleet", "bench", "--concurrency", "0"],
+            ["fleet", "serve", "--timeout", "0"],
+            ["schedcache", "compile", "--shape", "0x2x2"],
+            ["bench", "run"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_fast_with_a_clean_message(self, argv, capsys):
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects unknown commands
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.strip() and "Traceback" not in err
+        # Well under the 120 s default --timeout: nothing was driven.
+        assert elapsed < 10.0
 
 
 class TestVerify:

@@ -1,10 +1,9 @@
-"""The fleet_resilience experiment, its bench scenarios, and the CLI."""
+"""The fleet_resilience experiment and its CLI."""
 
 import json
 
 import pytest
 
-from repro.bench.scenarios import SCENARIOS
 from repro.cli import main
 from repro.experiments import EXPERIMENTS, fleet_resilience
 from repro.fleet import home_shard
@@ -69,6 +68,13 @@ class TestRunTrial:
     def test_result_is_json_serializable(self, trial):
         json.dumps(trial)
 
+    def test_explicit_kill_window_is_honoured(self):
+        value = fleet_resilience.run_trial(
+            kill_after=8, outage_duration=12, **SMALL
+        )
+        assert (value["kill_after"], value["revive_after"]) == (8, 20)
+        assert value["stats"]["submitted"] == 36
+
 
 class TestDriver:
     def test_registered(self):
@@ -86,16 +92,6 @@ class TestDriver:
         assert "slo" in text.lower()
         # The killed shard's tenants are starred in the load table.
         assert "*" in text
-
-
-class TestBenchScenarios:
-    def test_fleet_scenarios_registered(self):
-        assert "service_steady_state" in SCENARIOS
-        assert "fleet_degraded" in SCENARIOS
-
-    def test_fleet_degraded_body_runs(self):
-        scenario = SCENARIOS["fleet_degraded"]
-        scenario.body(scenario.setup())
 
 
 class TestCli:
