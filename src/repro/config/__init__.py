@@ -31,7 +31,6 @@ from .faults import (
 from .fleet import (
     FleetConfig,
     ShardOutageConfig,
-    default_fleet_config,
     kill_shard_outage,
 )
 from .presets import (
@@ -70,7 +69,6 @@ __all__ = [
     "FaultModelConfig",
     "FleetConfig",
     "ShardOutageConfig",
-    "default_fleet_config",
     "kill_shard_outage",
     "MachineConfig",
     "pimnet_sim_system",

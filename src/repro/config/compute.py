@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ..errors import ConfigurationError
+from .units import check_number
 
 
 class Op(Enum):
@@ -71,16 +72,15 @@ class ComputeProfile:
     memory_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.throughput_scale <= 0:
-            raise ConfigurationError("throughput_scale must be positive")
-        if self.memory_scale <= 0:
-            raise ConfigurationError("memory_scale must be positive")
+        for name in ("throughput_scale", "memory_scale"):
+            check_number(getattr(self, name), name, ConfigurationError,
+                         above=0)
         missing = [op for op in Op if op not in self.op_costs]
         if missing:
             raise ConfigurationError(f"op_costs missing entries for {missing}")
         for op, cost in self.op_costs.items():
-            if cost <= 0:
-                raise ConfigurationError(f"cost of {op} must be positive")
+            check_number(cost, f"cost of {op.name}", ConfigurationError,
+                         above=0)
 
     def slots(self, op: Op, count: float = 1.0) -> float:
         """Issue slots consumed by ``count`` operations of class ``op``."""

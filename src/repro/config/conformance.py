@@ -14,10 +14,10 @@ construction, not by bug.  See ``docs/CONFORMANCE.md``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..errors import ConformanceError
+from .units import JsonForm, check_number
 
 #: Collective patterns checked by the default matrix (the five Table V
 #: patterns with non-trivial multi-tier schedules).
@@ -37,13 +37,8 @@ DEFAULT_SHAPES = ((2, 2, 1), (2, 2, 2), (4, 2, 2))
 DEFAULT_PAYLOADS = (256, 1024, 4096)
 
 
-def _finite(value: object) -> bool:
-    """Whether ``value`` is a real, finite number (no NaN/inf/str)."""
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
-class ConformanceConfig:
+class ConformanceConfig(JsonForm):
     """One conformance run: the matrix plus agreement tolerances.
 
     The latency check asserts, per point::
@@ -55,8 +50,12 @@ class ConformanceConfig:
     quantization, and arbitration, empirically 1.0x-1.9x on the default
     matrix — hence ``rel_tol`` of 1.0 with a small absolute slack for
     near-zero points.  ``seed`` feeds the per-point payload RNG (and the
-    mutation RNG), so a run is reproducible from this config alone.
+    mutation RNG), so a run is reproducible from this config alone, and
+    :meth:`as_dict` is the form reproducers and matrix reports record.
     """
+
+    json_noun = "conformance config"
+    json_error = ConformanceError
 
     collectives: tuple[str, ...] = DEFAULT_COLLECTIVES
     shapes: tuple[tuple[int, int, int], ...] = DEFAULT_SHAPES
@@ -91,43 +90,24 @@ class ConformanceConfig:
                 )
         if not self.payload_bytes:
             raise ConformanceError("need at least one payload size")
-        if not isinstance(self.itemsize, int) or self.itemsize < 1:
-            raise ConformanceError(
-                f"itemsize must be a positive int, got {self.itemsize!r}"
-            )
+        check_number(self.itemsize, "itemsize", ConformanceError,
+                     integer=True, at_least=1)
         for payload in self.payload_bytes:
-            if not isinstance(payload, int) or payload < 1:
-                raise ConformanceError(
-                    f"payload {payload!r} must be a positive int"
-                )
+            check_number(payload, "payload", ConformanceError, integer=True,
+                         at_least=1)
             if payload % self.itemsize:
                 raise ConformanceError(
                     f"payload {payload} is not a multiple of the "
                     f"{self.itemsize}-byte element size"
                 )
-        if not _finite(self.latency_rel_tol) or self.latency_rel_tol < 0:
-            raise ConformanceError(
-                f"latency_rel_tol must be finite and >= 0, "
-                f"got {self.latency_rel_tol}"
-            )
-        if (
-            not _finite(self.latency_min_ratio)
-            or not 0 <= self.latency_min_ratio <= 1
-        ):
-            raise ConformanceError(
-                f"latency_min_ratio must be in [0, 1], "
-                f"got {self.latency_min_ratio}"
-            )
-        if (
-            not _finite(self.latency_abs_slack_cycles)
-            or self.latency_abs_slack_cycles < 0
-        ):
-            raise ConformanceError(
-                f"latency_abs_slack_cycles must be finite and >= 0, "
-                f"got {self.latency_abs_slack_cycles}"
-            )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConformanceError(f"seed must be >= 0, got {self.seed!r}")
+        check_number(self.latency_rel_tol, "latency_rel_tol",
+                     ConformanceError, at_least=0)
+        check_number(self.latency_min_ratio, "latency_min_ratio",
+                     ConformanceError, at_least=0, at_most=1)
+        check_number(self.latency_abs_slack_cycles,
+                     "latency_abs_slack_cycles", ConformanceError, at_least=0)
+        check_number(self.seed, "seed", ConformanceError, integer=True,
+                     at_least=0)
 
     @property
     def num_points(self) -> int:
@@ -136,47 +116,3 @@ class ConformanceConfig:
             * len(self.shapes)
             * len(self.payload_bytes)
         )
-
-    def as_dict(self) -> dict:
-        """JSON form (tuples become lists), inverse of :meth:`from_dict`."""
-        return {
-            "collectives": list(self.collectives),
-            "shapes": [list(s) for s in self.shapes],
-            "payload_bytes": list(self.payload_bytes),
-            "latency_rel_tol": self.latency_rel_tol,
-            "latency_min_ratio": self.latency_min_ratio,
-            "latency_abs_slack_cycles": self.latency_abs_slack_cycles,
-            "itemsize": self.itemsize,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConformanceConfig":
-        if not isinstance(data, dict):
-            raise ConformanceError("conformance config must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConformanceError(
-                f"unknown conformance config field(s): {', '.join(unknown)}"
-            )
-        payload = dict(data)
-        if "collectives" in payload:
-            payload["collectives"] = tuple(payload["collectives"])
-        if "shapes" in payload:
-            try:
-                payload["shapes"] = tuple(
-                    tuple(int(d) for d in s) for s in payload["shapes"]
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConformanceError(
-                    f"invalid shapes in conformance config: {exc}"
-                ) from exc
-        if "payload_bytes" in payload:
-            payload["payload_bytes"] = tuple(payload["payload_bytes"])
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ConformanceError(
-                f"invalid conformance config: {exc}"
-            ) from exc

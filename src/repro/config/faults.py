@@ -17,11 +17,11 @@ Component names follow the NoC router convention:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..errors import FaultConfigError
 from .system import PimSystemConfig
-from .units import is_finite_number
+from .units import JsonForm, check_number
 
 #: Fault kinds the engine knows how to sample and inject.
 FAULT_KINDS = (
@@ -45,7 +45,7 @@ _RATE_FIELDS = (
 
 
 @dataclass(frozen=True)
-class FaultModelConfig:
+class FaultModelConfig(JsonForm):
     """Per-tier fault rates and severities for one campaign.
 
     Rates are independent per-component probabilities; severities are
@@ -53,6 +53,9 @@ class FaultModelConfig:
     default — is the ideal fault-free machine, and every injection hook
     must then be a strict no-op.
     """
+
+    json_noun = "fault model"
+    json_error = FaultConfigError
 
     #: Probability a bank (DPU) is dead for the whole run (fail-stop).
     bank_fail_stop_rate: float = 0.0
@@ -84,34 +87,23 @@ class FaultModelConfig:
 
     def __post_init__(self) -> None:
         for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise FaultConfigError(
-                    f"{name} must be a probability in [0, 1], got {value}"
-                )
+            check_number(
+                getattr(self, name), f"{name} (a probability)",
+                FaultConfigError, at_least=0.0, at_most=1.0,
+            )
         for name in ("straggler_severity", "chip_link_degrade_factor"):
-            value = getattr(self, name)
-            if not is_finite_number(value) or value < 1.0:
-                raise FaultConfigError(
-                    f"{name} is a slowdown multiplier and must be >= 1, "
-                    f"got {value}"
-                )
-        if not is_finite_number(self.rank_bus_stall_s) or (
-            self.rank_bus_stall_s < 0
-        ):
-            raise FaultConfigError(
-                f"rank_bus_stall_s must be >= 0, got {self.rank_bus_stall_s}"
+            check_number(
+                getattr(self, name), f"{name} (a slowdown multiplier)",
+                FaultConfigError, at_least=1.0,
             )
-        if self.retry_penalty_flits < 0:
-            raise FaultConfigError("retry_penalty_flits must be >= 0")
-        if not is_finite_number(self.sync_timeout_s) or (
-            self.sync_timeout_s <= 0
-        ):
-            raise FaultConfigError(
-                f"sync_timeout_s must be positive, got {self.sync_timeout_s}"
-            )
-        if self.max_retries < 0:
-            raise FaultConfigError("max_retries must be >= 0")
+        check_number(self.rank_bus_stall_s, "rank_bus_stall_s",
+                     FaultConfigError, at_least=0)
+        check_number(self.retry_penalty_flits, "retry_penalty_flits",
+                     FaultConfigError, integer=True, at_least=0)
+        check_number(self.sync_timeout_s, "sync_timeout_s",
+                     FaultConfigError, above=0)
+        check_number(self.max_retries, "max_retries", FaultConfigError,
+                     integer=True, at_least=0)
 
     @property
     def fault_free(self) -> bool:
@@ -137,22 +129,9 @@ class FaultModelConfig:
             },
         )
 
-    def as_dict(self) -> dict[str, float | int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown fault model field(s): {', '.join(unknown)}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FaultCampaignConfig:
+class FaultCampaignConfig(JsonForm):
     """One resilience campaign: a fault model plus how to exercise it.
 
     A campaign is reproducible from ``(seed, machine config, this
@@ -160,8 +139,12 @@ class FaultCampaignConfig:
     the trial index, never from wall-clock state.  ``targets``
     optionally pins the faults to named components instead of sampling;
     every target must exist in the machine the campaign is bound to
-    (checked by :meth:`validate_for`).
+    (checked by :meth:`validate_for`).  :meth:`from_dict` reads the JSON
+    file form of ``docs/FAULTS.md``.
     """
+
+    json_noun = "campaign spec"
+    json_error = FaultConfigError
 
     name: str
     model: FaultModelConfig = field(default_factory=FaultModelConfig)
@@ -176,12 +159,12 @@ class FaultCampaignConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise FaultConfigError("campaign name must be non-empty")
-        if self.seed < 0:
-            raise FaultConfigError("seed must be >= 0")
-        if self.trials < 1:
-            raise FaultConfigError("a campaign needs at least one trial")
-        if self.payload_bytes < 1:
-            raise FaultConfigError("payload_bytes must be positive")
+        check_number(self.seed, "seed", FaultConfigError, integer=True,
+                     at_least=0)
+        check_number(self.trials, "trials", FaultConfigError, integer=True,
+                     at_least=1)
+        check_number(self.payload_bytes, "payload_bytes", FaultConfigError,
+                     integer=True, at_least=1)
         for target in self.targets:
             _parse_target(target)
 
@@ -214,28 +197,6 @@ class FaultCampaignConfig:
                         f"coordinate {value} out of range [0, {limit}) "
                         f"on axis {axis} of the machine topology"
                     )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultCampaignConfig":
-        """Build a campaign from its JSON file form (``docs/FAULTS.md``)."""
-        if not isinstance(data, dict):
-            raise FaultConfigError("campaign spec must be a JSON object")
-        payload = dict(data)
-        model = payload.pop("model", {})
-        if not isinstance(model, dict):
-            raise FaultConfigError("campaign 'model' must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown campaign field(s): {', '.join(unknown)}"
-            )
-        if "targets" in payload:
-            payload["targets"] = tuple(payload["targets"])
-        try:
-            return cls(model=FaultModelConfig.from_dict(model), **payload)
-        except TypeError as exc:
-            raise FaultConfigError(f"invalid campaign spec: {exc}") from exc
 
 
 def _parse_target(target: str) -> tuple[str, tuple[int, ...]]:

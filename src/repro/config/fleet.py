@@ -11,23 +11,22 @@ set takes the shard down, a non-fatal one degrades it.  With
 ``duration_submissions > 0`` the shard is revived (a fresh service on
 the same machine) that many submissions later.
 
-Everything here is JSON-round-trippable and eagerly validated, matching
+Everything here is eagerly validated, matching
 :mod:`repro.config.service`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
 from ..errors import ConfigurationError
 from .faults import FaultModelConfig
 from .service import ServiceConfig, default_service_config
+from .units import check_number
 
 __all__ = [
     "FleetConfig",
     "ShardOutageConfig",
-    "default_fleet_config",
     "kill_shard_outage",
 ]
 
@@ -54,20 +53,13 @@ class ShardOutageConfig:
     targets: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shard, int) or self.shard < 0:
-            raise ConfigurationError(
-                f"outage shard must be an int >= 0, got {self.shard!r}"
-            )
+        check_number(self.shard, "outage shard", ConfigurationError,
+                     integer=True, at_least=0)
         for attr in ("after_submissions", "duration_submissions"):
-            value = getattr(self, attr)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigurationError(
-                    f"outage {attr} must be an int >= 0, got {value!r}"
-                )
-        if not isinstance(self.seed, int):
-            raise ConfigurationError(
-                f"outage seed must be an int, got {self.seed!r}"
-            )
+            check_number(getattr(self, attr), f"outage {attr}",
+                         ConfigurationError, integer=True, at_least=0)
+        check_number(self.seed, "outage seed", ConfigurationError,
+                     integer=True)
         object.__setattr__(
             self, "targets", tuple(str(t) for t in self.targets)
         )
@@ -78,27 +70,6 @@ class ShardOutageConfig:
         if self.duration_submissions == 0:
             return None
         return self.after_submissions + self.duration_submissions
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "after_submissions": self.after_submissions,
-            "duration_submissions": self.duration_submissions,
-            "model": self.model.as_dict(),
-            "seed": self.seed,
-            "targets": list(self.targets),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardOutageConfig":
-        return cls(
-            shard=int(data["shard"]),
-            after_submissions=int(data["after_submissions"]),
-            duration_submissions=int(data.get("duration_submissions", 0)),
-            model=FaultModelConfig.from_dict(dict(data.get("model", {}))),
-            seed=int(data.get("seed", 0)),
-            targets=tuple(data.get("targets", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -117,14 +88,10 @@ class FleetConfig:
     outages: tuple[ShardOutageConfig, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ConfigurationError(
-                f"fleet shards must be an int >= 1, got {self.shards!r}"
-            )
-        if not isinstance(self.max_reroutes, int) or self.max_reroutes < 0:
-            raise ConfigurationError(
-                f"max_reroutes must be an int >= 0, got {self.max_reroutes!r}"
-            )
+        check_number(self.shards, "fleet shards", ConfigurationError,
+                     integer=True, at_least=1)
+        check_number(self.max_reroutes, "max_reroutes", ConfigurationError,
+                     integer=True, at_least=0)
         outages = tuple(self.outages)
         for outage in outages:
             if outage.shard >= self.shards:
@@ -143,28 +110,6 @@ class FleetConfig:
                                                  o.shard))),
         )
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "service": self.service.as_dict(),
-            "max_reroutes": self.max_reroutes,
-            "outages": [o.as_dict() for o in self.outages],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FleetConfig":
-        return cls(
-            shards=int(data.get("shards", 3)),
-            service=ServiceConfig.from_dict(
-                data.get("service", default_service_config().as_dict())
-            ),
-            max_reroutes=int(data.get("max_reroutes", 2)),
-            outages=tuple(
-                ShardOutageConfig.from_dict(o)
-                for o in data.get("outages", ())
-            ),
-        )
-
 
 def kill_shard_outage(
     shard: int,
@@ -179,19 +124,4 @@ def kill_shard_outage(
         duration_submissions=duration_submissions,
         model=FaultModelConfig(bank_fail_stop_rate=1.0),
         seed=seed,
-    )
-
-
-def default_fleet_config(
-    shards: int = 3,
-    service: ServiceConfig | None = None,
-    max_reroutes: int = 2,
-    outages: tuple[ShardOutageConfig, ...] = (),
-) -> FleetConfig:
-    """A small homogeneous fleet over the default admission cycle."""
-    return FleetConfig(
-        shards=shards,
-        service=service or default_service_config(),
-        max_reroutes=max_reroutes,
-        outages=outages,
     )

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
 from . import units
+from .units import check_number
 
 
 @dataclass(frozen=True)
@@ -34,24 +35,13 @@ class TierLinkConfig:
     broadcast_capable: bool = False
 
     def __post_init__(self) -> None:
-        if self.num_channels < 1:
-            raise ConfigurationError(f"{self.name}: need >= 1 channel")
-        if self.width_bits < 1:
-            raise ConfigurationError(f"{self.name}: width must be positive")
-        if not units.is_finite_number(
-            self.bandwidth_per_channel_bytes_per_s
-        ) or self.bandwidth_per_channel_bytes_per_s <= 0:
-            raise ConfigurationError(
-                f"{self.name}: bandwidth must be positive, "
-                f"got {self.bandwidth_per_channel_bytes_per_s}"
-            )
-        if not units.is_finite_number(self.hop_latency_s) or (
-            self.hop_latency_s < 0
-        ):
-            raise ConfigurationError(
-                f"{self.name}: latency must be >= 0, "
-                f"got {self.hop_latency_s}"
-            )
+        for attr in ("num_channels", "width_bits"):
+            check_number(getattr(self, attr), f"{self.name}: {attr}",
+                         ConfigurationError, integer=True, at_least=1)
+        check_number(self.bandwidth_per_channel_bytes_per_s,
+                     f"{self.name}: bandwidth", ConfigurationError, above=0)
+        check_number(self.hop_latency_s, f"{self.name}: latency",
+                     ConfigurationError, at_least=0)
 
     @property
     def link_bandwidth_bytes_per_s(self) -> float:
@@ -107,23 +97,13 @@ class PimnetNetworkConfig:
     mram_wram_dma_bytes_per_s: float = 0.63 * units.GB
 
     def __post_init__(self) -> None:
-        if not units.is_finite_number(self.sync_latency_s) or (
-            self.sync_latency_s < 0
-        ):
-            raise ConfigurationError(
-                f"sync latency must be >= 0, got {self.sync_latency_s}"
-            )
-        if not units.is_finite_number(self.mram_wram_dma_bytes_per_s) or (
-            self.mram_wram_dma_bytes_per_s <= 0
-        ):
-            raise ConfigurationError(
-                f"DMA bandwidth must be positive, "
-                f"got {self.mram_wram_dma_bytes_per_s}"
-            )
-        if not 0 < self.inter_rank_unicast_efficiency <= 1:
-            raise ConfigurationError(
-                "inter_rank_unicast_efficiency must be in (0, 1]"
-            )
+        check_number(self.sync_latency_s, "sync latency",
+                     ConfigurationError, at_least=0)
+        check_number(self.mram_wram_dma_bytes_per_s, "DMA bandwidth",
+                     ConfigurationError, above=0)
+        check_number(self.inter_rank_unicast_efficiency,
+                     "inter_rank_unicast_efficiency", ConfigurationError,
+                     above=0, at_most=1)
 
     def with_inter_bank_bandwidth(self, gb_per_s: float) -> "PimnetNetworkConfig":
         """Copy with a different inter-bank channel bandwidth (Fig 14a)."""
@@ -172,11 +152,8 @@ class HostLinkConfig:
             "cpu_to_pim_broadcast_bytes_per_s",
             "max_channel_bytes_per_s",
         ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {value}"
-                )
+            check_number(getattr(self, name), name, ConfigurationError,
+                         above=0)
 
 
 @dataclass(frozen=True)
@@ -204,14 +181,7 @@ class BufferChipConfig:
             "chip_dq_bytes_per_s",
             "inter_rank_link_bytes_per_s",
         ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {value}"
-                )
-        if not units.is_finite_number(self.hop_latency_s) or (
-            self.hop_latency_s < 0
-        ):
-            raise ConfigurationError(
-                f"hop latency must be >= 0, got {self.hop_latency_s}"
-            )
+            check_number(getattr(self, name), name, ConfigurationError,
+                         above=0)
+        check_number(self.hop_latency_s, "hop latency", ConfigurationError,
+                     at_least=0)

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .units import is_finite_number
+from .units import check_number
 
-#: Default on-disk cache location (kept in sync with repro.runner.cache).
+#: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 
@@ -32,15 +32,10 @@ class RunnerConfig:
     point_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.point_timeout_s is not None and (
-            not is_finite_number(self.point_timeout_s)
-            or self.point_timeout_s <= 0
-        ):
-            raise ConfigurationError(
-                f"point_timeout_s must be positive, got "
-                f"{self.point_timeout_s}"
-            )
+        check_number(self.jobs, "jobs", ConfigurationError, integer=True,
+                     at_least=1)
+        if self.point_timeout_s is not None:
+            check_number(self.point_timeout_s, "point_timeout_s",
+                         ConfigurationError, above=0)
         if not self.cache_dir:
             raise ConfigurationError("cache_dir must be non-empty")

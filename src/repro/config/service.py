@@ -17,11 +17,11 @@ values) so configs stay JSON-serializable and this module stays below
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from ..errors import ConfigurationError
+from .units import check_number
 
 __all__ = [
     "KNOWN_PATTERNS",
@@ -43,13 +43,6 @@ KNOWN_PATTERNS = (
     "gather",
 )
 _KNOWN = frozenset(KNOWN_PATTERNS)
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -81,35 +74,11 @@ class TimeSlotConfig:
             raise ConfigurationError(
                 f"slot {self.name!r} lists a pattern more than once"
             )
-        window = _require_finite(f"slot {self.name!r} time_window_s",
-                                 self.time_window_s)
-        if window <= 0:
-            raise ConfigurationError(
-                f"slot {self.name!r} time_window_s must be > 0, got {window!r}"
-            )
-        object.__setattr__(self, "time_window_s", window)
-        if not isinstance(self.max_multiplexing, int) or self.max_multiplexing < 1:
-            raise ConfigurationError(
-                f"slot {self.name!r} max_multiplexing must be an int >= 1, "
-                f"got {self.max_multiplexing!r}"
-            )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "patterns": list(self.patterns),
-            "time_window_s": self.time_window_s,
-            "max_multiplexing": self.max_multiplexing,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TimeSlotConfig":
-        return cls(
-            name=str(data["name"]),
-            patterns=tuple(data.get("patterns", ())),
-            time_window_s=float(data.get("time_window_s", 1e-3)),
-            max_multiplexing=int(data.get("max_multiplexing", 1)),
-        )
+        check_number(self.time_window_s, f"slot {self.name!r} time_window_s",
+                     ConfigurationError, above=0)
+        check_number(self.max_multiplexing,
+                     f"slot {self.name!r} max_multiplexing",
+                     ConfigurationError, integer=True, at_least=1)
 
 
 @dataclass(frozen=True)
@@ -127,21 +96,8 @@ class TenantQuotaConfig:
 
     def __post_init__(self) -> None:
         for attr in ("max_queued", "max_per_slot"):
-            value = getattr(self, attr)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigurationError(
-                    f"tenant quota {attr} must be an int >= 1, got {value!r}"
-                )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {"max_queued": self.max_queued, "max_per_slot": self.max_per_slot}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TenantQuotaConfig":
-        return cls(
-            max_queued=int(data.get("max_queued", 64)),
-            max_per_slot=int(data.get("max_per_slot", 8)),
-        )
+            check_number(getattr(self, attr), f"tenant quota {attr}",
+                         ConfigurationError, integer=True, at_least=1)
 
 
 @dataclass(frozen=True)
@@ -172,16 +128,10 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"slot names must be unique, got {names}"
             )
-        switch = _require_finite("switch_time_s", self.switch_time_s)
-        if switch < 0:
-            raise ConfigurationError(
-                f"switch_time_s must be >= 0, got {switch!r}"
-            )
-        object.__setattr__(self, "switch_time_s", switch)
-        if not isinstance(self.queue_limit, int) or self.queue_limit < 1:
-            raise ConfigurationError(
-                f"queue_limit must be an int >= 1, got {self.queue_limit!r}"
-            )
+        check_number(self.switch_time_s, "switch_time_s", ConfigurationError,
+                     at_least=0)
+        check_number(self.queue_limit, "queue_limit", ConfigurationError,
+                     integer=True, at_least=1)
         quotas = tuple(sorted(
             ((str(tenant), quota) for tenant, quota in self.tenant_quotas),
             key=lambda pair: pair[0],
@@ -206,37 +156,6 @@ class ServiceConfig:
             if name == tenant:
                 return quota
         return self.default_quota
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "slots": [slot.as_dict() for slot in self.slots],
-            "switch_time_s": self.switch_time_s,
-            "queue_limit": self.queue_limit,
-            "default_quota": self.default_quota.as_dict(),
-            "tenant_quotas": {
-                tenant: quota.as_dict()
-                for tenant, quota in self.tenant_quotas
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceConfig":
-        return cls(
-            slots=tuple(
-                TimeSlotConfig.from_dict(slot) for slot in data["slots"]
-            ),
-            switch_time_s=float(data.get("switch_time_s", 50e-6)),
-            queue_limit=int(data.get("queue_limit", 256)),
-            default_quota=TenantQuotaConfig.from_dict(
-                data.get("default_quota", {})
-            ),
-            tenant_quotas=tuple(
-                (tenant, TenantQuotaConfig.from_dict(quota))
-                for tenant, quota in dict(
-                    data.get("tenant_quotas", {})
-                ).items()
-            ),
-        )
 
 
 def default_service_config(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
 from . import units
+from .units import check_number
 
 
 @dataclass(frozen=True)
@@ -33,26 +34,15 @@ class DpuConfig:
     mram_bytes: int = 64 * units.MIB
 
     def __post_init__(self) -> None:
-        if not units.is_finite_number(self.frequency_hz) or (
-            self.frequency_hz <= 0
-        ):
-            raise ConfigurationError(
-                f"DPU frequency must be a positive finite number, "
-                f"got {self.frequency_hz}"
-            )
-        if self.num_hw_tasklets < 1:
-            raise ConfigurationError("a DPU needs at least one tasklet")
-        if not 1 <= self.min_tasklets_full_throughput <= self.num_hw_tasklets:
-            raise ConfigurationError(
-                "min_tasklets_full_throughput must lie within "
-                f"[1, {self.num_hw_tasklets}]"
-            )
-        for name in ("wram_bytes", "iram_bytes", "mram_bytes"):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value <= 0:
-                raise ConfigurationError(
-                    f"{name} must be positive, got {value}"
-                )
+        check_number(self.frequency_hz, "DPU frequency", ConfigurationError,
+                     above=0)
+        for name in ("pipeline_depth", "num_hw_tasklets", "wram_bytes",
+                     "iram_bytes", "mram_bytes"):
+            check_number(getattr(self, name), name, ConfigurationError,
+                         integer=True, at_least=1)
+        check_number(self.min_tasklets_full_throughput,
+                     "min_tasklets_full_throughput", ConfigurationError,
+                     integer=True, at_least=1, at_most=self.num_hw_tasklets)
 
     @property
     def cycle_time_s(self) -> float:
@@ -82,9 +72,8 @@ class PimSystemConfig:
             "ranks_per_channel",
             "num_channels",
         ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+            check_number(getattr(self, name), name, ConfigurationError,
+                         integer=True, at_least=1)
 
     # -- derived counts -----------------------------------------------------
     @property
@@ -157,29 +146,16 @@ class HostConfig:
     per_rank_transfer_overhead_s: float = 2 * units.US
 
     def __post_init__(self) -> None:
-        if self.num_cores < 1:
-            raise ConfigurationError("host needs at least one core")
-        if not units.is_finite_number(self.frequency_hz) or (
-            self.frequency_hz <= 0
-        ):
-            raise ConfigurationError(
-                f"host frequency must be a positive finite number, "
-                f"got {self.frequency_hz}"
-            )
-        if not units.is_finite_number(
-            self.reduce_bandwidth_bytes_per_s
-        ) or self.reduce_bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError(
-                f"host reduce bandwidth must be positive, "
-                f"got {self.reduce_bandwidth_bytes_per_s}"
-            )
+        check_number(self.num_cores, "host num_cores", ConfigurationError,
+                     integer=True, at_least=1)
+        check_number(self.frequency_hz, "host frequency", ConfigurationError,
+                     above=0)
+        check_number(self.reduce_bandwidth_bytes_per_s,
+                     "host reduce bandwidth", ConfigurationError, above=0)
         for name in (
             "kernel_launch_overhead_s",
             "transfer_setup_overhead_s",
             "per_rank_transfer_overhead_s",
         ):
-            value = getattr(self, name)
-            if not units.is_finite_number(value) or value < 0:
-                raise ConfigurationError(
-                    f"{name} must be non-negative, got {value}"
-                )
+            check_number(getattr(self, name), name, ConfigurationError,
+                         at_least=0)

@@ -12,10 +12,10 @@ evaluation and Prometheus export.  See ``docs/FLEET.md``.
 
 Typical use::
 
-    from repro.config import default_fleet_config
+    from repro.config import FleetConfig
     from repro.fleet import FleetRouter
 
-    async with FleetRouter(default_fleet_config(shards=3)) as fleet:
+    async with FleetRouter(FleetConfig(shards=3)) as fleet:
         response = await fleet.submit("tenant-a", request)
         assert response.outcome.value in (
             "admitted", "rerouted", "rejected", "failed",

@@ -34,7 +34,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from ..collectives.patterns import CollectiveRequest
-from ..config.fleet import FleetConfig, ShardOutageConfig, default_fleet_config
+from ..config.fleet import FleetConfig, ShardOutageConfig
 from ..config.presets import MachineConfig
 from ..config.service import ServiceConfig
 from ..errors import CollectiveError, FleetError, ServiceError
@@ -250,7 +250,7 @@ class FleetRouter:
         config: FleetConfig | None = None,
         machine: MachineConfig | None = None,
     ) -> None:
-        self.config = config or default_fleet_config()
+        self.config = config or FleetConfig()
         if machine is None:
             from ..config.presets import pimnet_sim_system
 

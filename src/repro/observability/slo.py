@@ -290,7 +290,10 @@ def load_objectives(path: str) -> list[SloObjective]:
     import json
 
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise ObservabilityError(f"SLO file {path}: {exc}") from exc
     if isinstance(data, Mapping):
         data = data.get("objectives", [])
     if not isinstance(data, Sequence) or isinstance(data, str):

@@ -27,14 +27,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from ..config.runner import DEFAULT_CACHE_DIR
 from ..observability.metrics import metric_counter
 from .canonical import canonical_json
 
 #: Bump when the entry schema changes; old entries become misses.
 CACHE_VERSION = 1
-
-#: Default cache location, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 _FINGERPRINT: str | None = None
 

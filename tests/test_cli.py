@@ -137,19 +137,19 @@ class TestFaults:
         assert payload["trials"] == 2
 
     def test_unknown_campaign_fails(self, capsys):
-        assert main(["faults", "run", "bogus"]) == 1
+        assert main(["faults", "run", "bogus"]) == 2
         err = capsys.readouterr().err
         assert "bogus" in err
 
     def test_bad_spec_file_fails_cleanly(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"name": "x", "warp_factor": 9}))
-        assert main(["faults", "run", str(spec)]) == 1
+        assert main(["faults", "run", str(spec)]) == 2
         assert "warp_factor" in capsys.readouterr().err
 
     def test_bad_payload_override_fails(self, capsys):
         assert main(["faults", "run", "stragglers",
-                     "--payload", "12XB"]) == 1
+                     "--payload", "12XB"]) == 2
 
     def test_run_metrics_dump_includes_latency_histogram(
         self, tmp_path, capsys
@@ -193,7 +193,7 @@ class TestFaults:
         slo = tmp_path / "slo.json"
         slo.write_text("[]")
         assert main(["faults", "run", "mixed", "--trials", "2",
-                     "--slo", str(slo)]) == 1
+                     "--slo", str(slo)]) == 2
         assert "--metrics" in capsys.readouterr().err
 
 
@@ -349,10 +349,33 @@ class TestBadArguments:
             ["fleet", "serve", "--timeout", "0"],
             ["schedcache", "compile", "--shape", "0x2x2"],
             ["bench", "run"],
+            ["faults", "run", "bogus"],
+            ["faults", "run", "stragglers", "--payload", "12XB"],
+            ["faults", "run", "stragglers", "--trials", "0"],
+            ["faults", "run", "stragglers", "--seed", "-1"],
+            ["faults", "run", "{spec}"],
+            ["faults", "run", "mixed", "--slo", "{slo}"],
+            ["serve", "--window", "0"],
+            ["fleet", "bench", "--shards", "0"],
+            ["fleet", "bench", "--kill-shard", "0", "--kill-shard", "2"],
+            ["fleet", "status", "--shards", "0"],
+            ["fleet", "status", "--tenants", "-1"],
+            ["conformance", "shrink", "{spec}"],
+            ["trace", "bogus"],
+            ["run", "table05", "--jobs", "0"],
+            ["conformance", "run", "--seed", "-1"],
+            ["serve", "--tenants", "0"],
         ],
         ids=" ".join,
     )
-    def test_exits_2_fast_with_a_clean_message(self, argv, capsys):
+    def test_exits_2_fast_with_a_clean_message(self, argv, tmp_path, capsys):
+        # {spec} is a file that is no campaign spec or reproducer (an
+        # unknown field); {slo} is a valid SLO file.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "x", "warp_factor": 9}))
+        slo = tmp_path / "slo.json"
+        slo.write_text("[]")
+        argv = [a.format(spec=spec, slo=slo) for a in argv]
         start = time.perf_counter()
         try:
             code = main(argv)

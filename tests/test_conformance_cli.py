@@ -113,7 +113,7 @@ class TestBadInput:
     def test_shrink_of_garbage_file_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         path.write_text("{}")
-        assert main(["conformance", "shrink", str(path)]) == 1
+        assert main(["conformance", "shrink", str(path)]) == 2
         assert "conformance shrink failed" in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, capsys):

@@ -22,7 +22,6 @@ from repro.config import small_test_system
 from repro.config.fleet import (
     FleetConfig,
     ShardOutageConfig,
-    default_fleet_config,
     kill_shard_outage,
 )
 from repro.config.service import (
@@ -157,11 +156,6 @@ class TestRanking:
 # --------------------------------------------------------------------------
 
 class TestFleetConfig:
-    def test_round_trips_through_json(self):
-        config = fleet_config(outages=(kill_shard_outage(1, 10, 5, seed=7),))
-        data = json.loads(json.dumps(config.as_dict()))
-        assert FleetConfig.from_dict(data) == config
-
     def test_outage_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             FleetConfig(shards=2, outages=(kill_shard_outage(2, 10),))
@@ -411,7 +405,7 @@ class TestTenantFifo:
 
 class TestDefaults:
     def test_default_fleet_config_shape(self):
-        config = default_fleet_config()
+        config = FleetConfig()
         assert config.shards == 3
         assert config.max_reroutes == 2
         assert config.outages == ()

@@ -120,5 +120,5 @@ class TestCli:
         assert "FAIL impossible" in capsys.readouterr().out
 
     def test_bad_config_fails_cleanly(self, capsys):
-        assert main(["serve", "--window", "0"]) == 1
+        assert main(["serve", "--window", "0"]) == 2
         assert "service bench failed" in capsys.readouterr().err

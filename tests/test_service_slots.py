@@ -104,19 +104,6 @@ class TestServiceConfig:
         assert config.quota_for("vip") == special
         assert config.quota_for("anyone") == config.default_quota
 
-    def test_round_trips_through_dict(self):
-        config = ServiceConfig(
-            slots=(
-                TimeSlotConfig("ar", ("all_reduce",), 2e-3, 2),
-                TimeSlotConfig("rest", (), 1e-3, 1),
-            ),
-            switch_time_s=5e-6,
-            queue_limit=32,
-            default_quota=TenantQuotaConfig(max_queued=4, max_per_slot=2),
-            tenant_quotas=(("vip", TenantQuotaConfig(max_queued=16)),),
-        )
-        assert ServiceConfig.from_dict(config.as_dict()) == config
-
 
 class TestSlotCycle:
     def test_default_config_accepts_every_pattern(self):
