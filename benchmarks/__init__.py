@@ -1,1 +1,1 @@
-"""Benchmark harness: one module per paper figure/table."""
+"""Wall-clock speed gates: the NoC event loop and the schedule cache."""

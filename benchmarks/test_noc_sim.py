@@ -14,8 +14,6 @@ import time
 from repro.experiments.noc_load_latency import high_load_workload
 from repro.noc import NocSimulator
 
-from .conftest import run_once
-
 
 def _time_loop(runner) -> tuple[float, object]:
     start = time.perf_counter()
@@ -23,17 +21,12 @@ def _time_loop(runner) -> tuple[float, object]:
     return time.perf_counter() - start, stats
 
 
-def test_event_loop_speedup(benchmark, report):
+def test_event_loop_speedup():
     network, messages = high_load_workload()
-
-    def compare():
-        naive_sim = NocSimulator(network, messages)
-        naive_s, naive_stats = _time_loop(naive_sim._run_reference)
-        event_sim = NocSimulator(network, messages)
-        event_s, event_stats = _time_loop(event_sim.run)
-        return naive_s, naive_stats, event_s, event_stats
-
-    naive_s, naive_stats, event_s, event_stats = run_once(benchmark, compare)
+    naive_s, naive_stats = _time_loop(
+        NocSimulator(network, messages)._run_reference
+    )
+    event_s, event_stats = _time_loop(NocSimulator(network, messages).run)
 
     assert event_stats.cycles == naive_stats.cycles
     assert event_stats.flits_delivered == naive_stats.flits_delivered
@@ -43,7 +36,7 @@ def test_event_loop_speedup(benchmark, report):
     )
 
     speedup = naive_s / event_s
-    report(
+    print(
         "NoC cycle loop, high-load point "
         f"({len(messages)} messages, {naive_stats.cycles} cycles):\n"
         f"  naive reference loop : {naive_s * 1e3:8.1f} ms "

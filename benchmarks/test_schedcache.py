@@ -17,8 +17,6 @@ from repro.config.network import PimnetNetworkConfig
 from repro.core.schedule import Shape, build_schedule, schedule_timing
 from repro.schedcache import ScheduleCache
 
-from .conftest import run_once
-
 #: One structure, several payloads: exactly the shape of a figure sweep,
 #: where the cold path recompiles the schedule per payload and the warm
 #: path replays one cached timing profile.
@@ -44,7 +42,7 @@ def _median_sweep_s(sweep) -> float:
     return statistics.median(times)
 
 
-def test_warm_replay_beats_cold_compilation(benchmark, report):
+def test_warm_replay_beats_cold_compilation():
     network = PimnetNetworkConfig()
     cache = ScheduleCache()
     cache.profile(COLLECTIVE, SHAPE, network)
@@ -59,16 +57,16 @@ def test_warm_replay_beats_cold_compilation(benchmark, report):
             cache.timing(COLLECTIVE, SHAPE, num_elements, network)
 
     cold_s = _median_sweep_s(cold)
-    warm_s = run_once(benchmark, _median_sweep_s, warm)
+    warm_s = _median_sweep_s(warm)
     speedup = cold_s / warm_s
-    report(
+    print(
         f"schedcache: cold p50 {cold_s * 1e3:.2f} ms, "
         f"warm p50 {warm_s * 1e3:.2f} ms, {speedup:.0f}x speedup"
     )
     assert speedup >= MIN_SPEEDUP
 
 
-def test_warm_replay_is_bit_exact(report):
+def test_warm_replay_is_bit_exact():
     network = PimnetNetworkConfig()
     cache = ScheduleCache()
     cache.profile(COLLECTIVE, SHAPE, network)
@@ -78,7 +76,7 @@ def test_warm_replay_is_bit_exact(report):
         )
         assert cache.timing(COLLECTIVE, SHAPE, num_elements, network) == fresh
     assert cache.counters.timing_replays == len(PAYLOADS)
-    report(
+    print(
         f"schedcache: {len(PAYLOADS)} payload replays "
         "bit-identical to fresh compilation"
     )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -61,6 +62,7 @@ from .observability import (
     trace_span,
 )
 from .runner.cache import ResultCache
+from .runner.spec import format_tables
 
 #: Compact aliases accepted by ``repro trace`` on top of the enum values.
 _COLLECTIVE_ALIASES = {
@@ -188,11 +190,14 @@ def _run(command: _Command, args: argparse.Namespace) -> int:
         return code
 
     slo_path = getattr(args, "slo", None)
+    objectives = None
     try:
-        if slo_path is not None and args.metrics is None:
-            raise ConfigurationError(
-                "--slo needs a metrics registry; pass --metrics PATH too"
-            )
+        if slo_path is not None:
+            if args.metrics is None:
+                raise ConfigurationError(
+                    "--slo needs a metrics registry; pass --metrics PATH too"
+                )
+            objectives = load_objectives(slo_path)
         config = command.configure(args)
         instrumentation = _instrumentation(args, command.traced)
     except (ReproError, ValueError, OSError) as exc:
@@ -201,10 +206,8 @@ def _run(command: _Command, args: argparse.Namespace) -> int:
     try:
         with instrumentation.activate():
             result = command.execute(args, config)
-            if slo_path is not None:
-                slo = evaluate_slos(
-                    active_metrics(), load_objectives(slo_path)
-                )
+            if objectives is not None:
+                slo = evaluate_slos(active_metrics(), objectives)
     except (ReproError, OSError) as exc:
         return fail(exc, 1)
     if getattr(args, "json", False):
@@ -231,13 +234,14 @@ def _run(command: _Command, args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def _list_experiments(args, config) -> dict:
-    from .experiments import EXPERIMENTS
+    from .runner import REGISTRY
 
-    entries = []
-    for key in sorted(EXPERIMENTS):
-        doc = (EXPERIMENTS[key].__doc__ or "").strip().splitlines()
-        entries.append({"id": key, "summary": doc[0] if doc else ""})
-    return {"experiments": entries}
+    return {
+        "experiments": [
+            {"id": key, "summary": REGISTRY.get(key).title}
+            for key in REGISTRY.ids()
+        ]
+    }
 
 
 def _list_text(args, payload) -> str:
@@ -248,16 +252,15 @@ def _list_text(args, payload) -> str:
 
 
 def _configure_run(args) -> tuple[list[str], RunnerConfig]:
-    from .experiments import EXPERIMENTS
+    from .runner import REGISTRY
 
-    keys = sorted(EXPERIMENTS) if args.experiment == "all" else [
-        args.experiment
-    ]
-    unknown = [k for k in keys if k not in EXPERIMENTS]
+    ids = REGISTRY.ids()
+    keys = list(ids) if args.experiment == "all" else [args.experiment]
+    unknown = [k for k in keys if k not in ids]
     if unknown:
         raise ConfigurationError(
             f"unknown experiment(s): {', '.join(unknown)} "
-            f"(try: {', '.join(sorted(EXPERIMENTS))})"
+            f"(try: {', '.join(ids)})"
         )
     return keys, RunnerConfig(
         jobs=args.jobs,
@@ -679,7 +682,8 @@ def _service_payload(args, result) -> dict:
 def _service_text(args, result) -> str:
     from .experiments import tenant_service_load
 
-    return f"seed: {args.seed}\n{tenant_service_load.format_table(result)}"
+    tables = tenant_service_load.build_tables(result)
+    return f"seed: {args.seed}\n{format_tables(tables)}"
 
 
 def _configure_fleet(args) -> None:
@@ -747,7 +751,8 @@ def _fleet_bench(args, config) -> dict:
 def _fleet_text(args, value) -> str:
     from .experiments import fleet_resilience
 
-    return f"seed: {args.seed}\n{fleet_resilience.format_table([value])}"
+    tables = fleet_resilience.build_tables([value])
+    return f"seed: {args.seed}\n{format_tables(tables)}"
 
 
 def _fleet_status(args, config) -> dict:
@@ -1229,7 +1234,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _run(args.handler, args)
+    try:
+        code = _run(args.handler, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro list | head -1``).  Point stdout
+        # at devnull so the interpreter's exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,16 @@
 """Experiment drivers: one module per paper figure/table.
 
-Every module exposes ``run(...) -> result`` and ``format_table(result)
--> str`` printing the paper-shaped rows; the benchmark suite calls both.
+Importing this package registers every driver's
+:class:`~repro.runner.ExperimentSpec` in :data:`repro.runner.REGISTRY`.
+An experiment runs only through its spec::
+
+    from repro.runner import run_experiment
+
+    run = run_experiment("fig12")
+    run.result   # the typed result the paper-shape tests read
+    print(run.format())   # the paper-shaped tables
+
+or from the shell, ``python -m repro run fig12``.
 """
 
 from . import (
@@ -30,34 +39,7 @@ from . import (
 )
 from .common import ExperimentTable, SCALING_DPU_COUNTS, scaled_machine
 
-#: Registry: experiment id -> module (each with run/format_table).
-EXPERIMENTS = {
-    "fig02": fig02_roofline,
-    "fig03": fig03_motivation,
-    "table04": table04_tiers,
-    "table05": table05_algorithms,
-    "fig10": fig10_applications,
-    "fig11": fig11_comm_breakdown,
-    "fig12": fig12_collective_scaling,
-    "fig13": fig13_flow_control,
-    "fig14": fig14_bandwidth_sweep,
-    "fig15": fig15_alt_pim,
-    "fig16": fig16_multichannel,
-    "fig17": fig17_multitenancy,
-    "hw_overhead": hw_overhead,
-    "ablations": ablations,
-    "size_sweep": message_size_sweep,
-    "characterization": characterization,
-    "noc_load_latency": noc_load_latency,
-    "prim_suite": prim_suite,
-    "fault_sweep": fault_sweep,
-    "straggler_tail": straggler_tail,
-    "tenant_service_load": tenant_service_load,
-    "fleet_resilience": fleet_resilience,
-}
-
 __all__ = [
-    "EXPERIMENTS",
     "ablations",
     "characterization",
     "fault_sweep",

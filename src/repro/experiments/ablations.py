@@ -30,7 +30,7 @@ from ..config.units import transfer_time
 from ..core.multichannel import multichannel_collective
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 DEFAULT_PAYLOAD_BYTES = 32 * 1024
 
@@ -169,11 +169,6 @@ def _point(
     }
 
 
-def run(machine: MachineConfig | None = None) -> list[AblationResult]:
-    machine = machine or default_machine()
-    return [fn(machine) for fn in ABLATIONS.values()]
-
-
 def build_tables(results: list[AblationResult]) -> tuple[ExperimentTable, ...]:
     rows = tuple(
         (
@@ -194,10 +189,6 @@ def build_tables(results: list[AblationResult]) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(results: list[AblationResult]) -> str:
-    return "\n\n".join(t.format() for t in build_tables(results))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(
@@ -209,9 +200,8 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    results = [AblationResult(**v) for v in values]
-    return build_tables(results)
+) -> list[AblationResult]:
+    return [AblationResult(**v) for v in values]
 
 
 SPEC = register_experiment(
@@ -220,4 +210,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

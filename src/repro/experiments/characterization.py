@@ -16,7 +16,7 @@ from ..config.presets import MachineConfig
 from ..memory.channel import DdrChannel
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 TRANSFER_SIZES = tuple(4 * 1024 * (4 ** e) for e in range(7))  # 4KiB..16MiB
 
@@ -45,7 +45,7 @@ def _point(machine: MachineConfig, size: int) -> dict[str, float]:
     }
 
 
-def _result_from_points(
+def _assemble(
     machine: MachineConfig, values: tuple[dict[str, float], ...]
 ) -> CharacterizationResult:
     peak = machine.host_links.pim_to_cpu_bytes_per_s / 1e9
@@ -58,14 +58,6 @@ def _result_from_points(
         transposed_gather_gbs=(
             peak * HostBaselineBackend.transpose_efficiency
         ),
-    )
-
-
-def run(machine: MachineConfig | None = None) -> CharacterizationResult:
-    machine = machine or default_machine()
-    return _result_from_points(
-        machine,
-        tuple(_point(machine, size) for size in TRANSFER_SIZES),
     )
 
 
@@ -101,21 +93,11 @@ def build_tables(
     )
 
 
-def format_table(result: CharacterizationResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"size": size})
         for i, size in enumerate(TRANSFER_SIZES)
     )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(_result_from_points(machine, values))
 
 
 SPEC = register_experiment(
@@ -124,4 +106,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -88,23 +88,9 @@ def _point(
     }
 
 
-def run(
-    machine: MachineConfig | None = None,
-    seed: int = DEFAULTS["seed"],
-    trials: int = DEFAULTS["trials"],
-    payload_bytes: int = DEFAULTS["payload_bytes"],
+def _assemble(
+    machine: MachineConfig, values: tuple[dict, ...]
 ) -> FaultSweepResult:
-    from .common import default_machine
-
-    machine = machine or default_machine()
-    values = [
-        _point(machine, factor, seed, trials, payload_bytes)
-        for factor in RATE_FACTORS
-    ]
-    return _result(values)
-
-
-def _result(values) -> FaultSweepResult:
     return FaultSweepResult(
         rate_factors=RATE_FACTORS,
         completion_rates=tuple(v["completion_rate"] for v in values),
@@ -159,21 +145,11 @@ def build_tables(result: FaultSweepResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: FaultSweepResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"rate_factor": factor, **DEFAULTS})
         for i, factor in enumerate(RATE_FACTORS)
     )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(_result(values))
 
 
 SPEC = register_experiment(
@@ -182,4 +158,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

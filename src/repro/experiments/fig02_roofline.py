@@ -74,10 +74,6 @@ def build_tables(result: RooflineResult) -> tuple[ExperimentTable, ...]:
     return (table_a, table_b)
 
 
-def format_table(result: RooflineResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 SPEC = register_monolithic(
     "fig02", "Fig 2: roofline models", run, build_tables
 )

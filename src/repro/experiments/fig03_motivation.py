@@ -20,7 +20,6 @@ from ..runner.spec import SweepPoint
 from .common import (
     ExperimentTable,
     SCALING_DPU_COUNTS,
-    default_machine,
     scaled_machine,
 )
 
@@ -67,59 +66,31 @@ def _point(
     }
 
 
-def run(
-    pattern: Collective = Collective.ALL_REDUCE,
-    machine: MachineConfig | None = None,
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-    backends: tuple[str, ...] = BACKENDS,
-) -> ScalabilityResult:
-    machine = machine or default_machine()
-    times: dict[str, list[float]] = {k: [] for k in backends}
-    for n in SCALING_DPU_COUNTS:
-        at_n = _point(machine, pattern.value, n, payload_bytes, list(backends))
-        for key in backends:
-            times[key].append(at_n[key])
-    return ScalabilityResult(
-        pattern=pattern,
-        dpu_counts=SCALING_DPU_COUNTS,
-        payload_bytes=payload_bytes,
-        times_s={k: tuple(v) for k, v in times.items()},
-    )
-
-
-def run_both(
-    machine: MachineConfig | None = None,
-) -> tuple[ScalabilityResult, ScalabilityResult]:
-    """(AllReduce, All-to-All) sweeps — the two panels of Fig 3."""
-    return (
-        run(Collective.ALL_REDUCE, machine),
-        run(Collective.ALL_TO_ALL, machine),
-    )
-
-
-def build_tables(result: ScalabilityResult) -> tuple[ExperimentTable, ...]:
-    rel = result.normalized_throughput()
-    rows = []
-    for i, n in enumerate(result.dpu_counts):
-        rows.append(
-            (n,)
-            + tuple(f"{rel[k][i]:.2f}" for k in result.times_s)
+def build_tables(
+    results: tuple[ScalabilityResult, ...],
+) -> tuple[ExperimentTable, ...]:
+    """One table per panel: (a) AllReduce, (b) All-to-All."""
+    tables = []
+    for result in results:
+        rel = result.normalized_throughput()
+        rows = []
+        for i, n in enumerate(result.dpu_counts):
+            rows.append(
+                (n,)
+                + tuple(f"{rel[k][i]:.2f}" for k in result.times_s)
+            )
+        panel = "a" if result.pattern is Collective.ALL_REDUCE else "b"
+        tables.append(
+            ExperimentTable(
+                f"Fig 3{panel}",
+                f"{result.pattern.value} weak-scaling throughput "
+                "(normalized to Baseline @ 8 DPUs)",
+                ("DPUs",) + tuple(result.times_s),
+                tuple(rows),
+                notes=f"per-DPU payload {result.payload_bytes // 1024} KB",
+            )
         )
-    panel = "a" if result.pattern is Collective.ALL_REDUCE else "b"
-    return (
-        ExperimentTable(
-            f"Fig 3{panel}",
-            f"{result.pattern.value} weak-scaling throughput "
-            "(normalized to Baseline @ 8 DPUs)",
-            ("DPUs",) + tuple(result.times_s),
-            tuple(rows),
-            notes=f"per-DPU payload {result.payload_bytes // 1024} KB",
-        ),
-    )
-
-
-def format_table(result: ScalabilityResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+    return tuple(tables)
 
 
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
@@ -142,8 +113,9 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    tables = []
+) -> tuple[ScalabilityResult, ...]:
+    """(AllReduce, All-to-All) sweeps — the two panels of Fig 3."""
+    results = []
     per_panel = len(SCALING_DPU_COUNTS)
     for i, pattern in enumerate(PANEL_PATTERNS):
         chunk = values[i * per_panel:(i + 1) * per_panel]
@@ -155,8 +127,8 @@ def _assemble(
                 key: tuple(at_n[key] for at_n in chunk) for key in BACKENDS
             },
         )
-        tables.extend(build_tables(result))
-    return tuple(tables)
+        results.append(result)
+    return tuple(results)
 
 
 SPEC = register_experiment(
@@ -165,4 +137,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

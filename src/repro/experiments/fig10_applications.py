@@ -10,7 +10,7 @@ from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import compare_backends, paper_workloads
 from ..workloads.base import AppResult
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 BACKEND_ORDER = ("B", "S", "N", "D", "P")
 
@@ -63,23 +63,6 @@ def _point(machine: MachineConfig, workload: str) -> dict[str, dict]:
     return {key: app_to_jsonable(app) for key, app in group.items()}
 
 
-def run(
-    machine: MachineConfig | None = None,
-    workload_names: tuple[str, ...] | None = None,
-) -> ApplicationsResult:
-    machine = machine or default_machine()
-    workloads = paper_workloads()
-    if workload_names is not None:
-        workloads = {
-            k: v for k, v in workloads.items() if k in workload_names
-        }
-    results = {
-        name: compare_backends(wl, machine, list(BACKEND_ORDER))
-        for name, wl in workloads.items()
-    }
-    return ApplicationsResult(results=results)
-
-
 def build_tables(result: ApplicationsResult) -> tuple[ExperimentTable, ...]:
     rows = []
     for name, group in result.results.items():
@@ -106,10 +89,6 @@ def build_tables(result: ApplicationsResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: ApplicationsResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"workload": name})
@@ -119,7 +98,7 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict[str, dict], ...]
-) -> tuple[ExperimentTable, ...]:
+) -> ApplicationsResult:
     results = {
         name: {
             key: app_from_jsonable(encoded)
@@ -127,7 +106,7 @@ def _assemble(
         }
         for name, group in zip(paper_workloads(), values)
     }
-    return build_tables(ApplicationsResult(results=results))
+    return ApplicationsResult(results=results)
 
 
 SPEC = register_experiment(
@@ -136,4 +115,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -17,7 +17,7 @@ from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import compare_backends, paper_workloads
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 #: The paper normalizes NTT and Join to NDPBridge, everything else to
 #: DIMM-Link.
@@ -63,14 +63,6 @@ def _entry(workload: str, value: dict) -> CommBreakdownEntry:
     )
 
 
-def run(machine: MachineConfig | None = None) -> CommBreakdownResult:
-    machine = machine or default_machine()
-    entries = [
-        _entry(name, _point(machine, name)) for name in paper_workloads()
-    ]
-    return CommBreakdownResult(entries=tuple(entries))
-
-
 def build_tables(result: CommBreakdownResult) -> tuple[ExperimentTable, ...]:
     rows = []
     for e in result.entries:
@@ -100,10 +92,6 @@ def build_tables(result: CommBreakdownResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: CommBreakdownResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"workload": name})
@@ -113,12 +101,12 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
+) -> CommBreakdownResult:
     entries = tuple(
         _entry(name, value)
         for name, value in zip(paper_workloads(), values)
     )
-    return build_tables(CommBreakdownResult(entries=entries))
+    return CommBreakdownResult(entries=entries)
 
 
 SPEC = register_experiment(
@@ -127,4 +115,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -20,7 +20,6 @@ from ..runner.spec import SweepPoint
 from .common import (
     ExperimentTable,
     SCALING_DPU_COUNTS,
-    default_machine,
     scaled_machine,
 )
 
@@ -63,58 +62,33 @@ def _point(
     }
 
 
-def run(
-    pattern: Collective = Collective.ALL_REDUCE,
-    machine: MachineConfig | None = None,
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-) -> CollectiveScalingResult:
-    machine = machine or default_machine()
-    backends = _backends_for(pattern)
-    speedups: dict[str, list[float]] = {k: [] for k in backends}
-    for n in SCALING_DPU_COUNTS:
-        at_n = _point(machine, pattern.value, n, payload_bytes, backends)
-        for key in backends:
-            speedups[key].append(at_n[key])
-    return CollectiveScalingResult(
-        pattern=pattern,
-        dpu_counts=SCALING_DPU_COUNTS,
-        payload_bytes=payload_bytes,
-        speedups={k: tuple(v) for k, v in speedups.items()},
-    )
-
-
-def run_both(
-    machine: MachineConfig | None = None,
-) -> tuple[CollectiveScalingResult, CollectiveScalingResult]:
-    return (
-        run(Collective.ALL_REDUCE, machine),
-        run(Collective.ALL_TO_ALL, machine),
-    )
-
-
 def build_tables(
-    result: CollectiveScalingResult,
+    results: tuple[CollectiveScalingResult, ...],
 ) -> tuple[ExperimentTable, ...]:
-    rows = []
-    for i, n in enumerate(result.dpu_counts):
-        rows.append(
-            (n,)
-            + tuple(f"{result.speedups[k][i]:.2f}" for k in result.speedups)
+    """One table per panel: (a) AllReduce, (b) All-to-All."""
+    tables = []
+    for result in results:
+        rows = []
+        for i, n in enumerate(result.dpu_counts):
+            rows.append(
+                (n,)
+                + tuple(
+                    f"{result.speedups[k][i]:.2f}" for k in result.speedups
+                )
+            )
+        panel = "a" if result.pattern is Collective.ALL_REDUCE else "b"
+        tables.append(
+            ExperimentTable(
+                f"Fig 12{panel}",
+                f"{result.pattern.value} speedup over Baseline at each "
+                "DPU count",
+                ("DPUs",) + tuple(result.speedups),
+                tuple(rows),
+                notes=f"weak scaling, {result.payload_bytes // 1024} KB "
+                "per DPU",
+            )
         )
-    panel = "a" if result.pattern is Collective.ALL_REDUCE else "b"
-    return (
-        ExperimentTable(
-            f"Fig 12{panel}",
-            f"{result.pattern.value} speedup over Baseline at each DPU count",
-            ("DPUs",) + tuple(result.speedups),
-            tuple(rows),
-            notes=f"weak scaling, {result.payload_bytes // 1024} KB per DPU",
-        ),
-    )
-
-
-def format_table(result: CollectiveScalingResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+    return tuple(tables)
 
 
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
@@ -137,8 +111,9 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    tables = []
+) -> tuple[CollectiveScalingResult, ...]:
+    """(AllReduce, All-to-All) sweeps — the two panels of Fig 12."""
+    results = []
     per_panel = len(SCALING_DPU_COUNTS)
     for i, pattern in enumerate(PANEL_PATTERNS):
         chunk = values[i * per_panel:(i + 1) * per_panel]
@@ -151,8 +126,8 @@ def _assemble(
                 key: tuple(at_n[key] for at_n in chunk) for key in backends
             },
         )
-        tables.extend(build_tables(result))
-    return tuple(tables)
+        results.append(result)
+    return tuple(results)
 
 
 SPEC = register_experiment(
@@ -161,4 +136,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

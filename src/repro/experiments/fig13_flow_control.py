@@ -98,32 +98,6 @@ def _point(
     )
 
 
-def run(
-    banks: int = 4,
-    chips: int = 4,
-    ranks: int = 1,
-    elements_per_dpu: int = 256,
-    mean_compute_cycles: float = 2000.0,
-    seed: int = 7,
-) -> FlowControlResult:
-    params = dict(
-        banks=banks,
-        chips=chips,
-        ranks=ranks,
-        elements_per_dpu=elements_per_dpu,
-        mean_compute_cycles=mean_compute_cycles,
-        seed=seed,
-    )
-    ar = _point(None, "allreduce", **params)
-    a2a = _point(None, "alltoall", **params)
-    return FlowControlResult(
-        shape=Shape(banks=banks, chips=chips, ranks=ranks),
-        elements_per_dpu=elements_per_dpu,
-        allreduce=ar,
-        alltoall=a2a,
-    )
-
-
 def build_tables(result: FlowControlResult) -> tuple[ExperimentTable, ...]:
     rows = []
     for label, data in (
@@ -161,10 +135,6 @@ def build_tables(result: FlowControlResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: FlowControlResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"pattern": pattern, **DEFAULTS})
@@ -174,8 +144,8 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict[str, int], ...]
-) -> tuple[ExperimentTable, ...]:
-    result = FlowControlResult(
+) -> FlowControlResult:
+    return FlowControlResult(
         shape=Shape(
             banks=DEFAULTS["banks"],
             chips=DEFAULTS["chips"],
@@ -185,7 +155,6 @@ def _assemble(
         allreduce=values[0],
         alltoall=values[1],
     )
-    return build_tables(result)
 
 
 SPEC = register_experiment(
@@ -194,4 +163,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -16,7 +16,7 @@ from ..collectives.patterns import Collective, CollectiveRequest
 from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 INTER_BANK_SWEEP_GBS = (0.1, 0.2, 0.3, 0.5, 0.7, 1.0)
 GLOBAL_SCALE_SWEEP = (0.25, 0.5, 1.0, 2.0)
@@ -67,28 +67,6 @@ def _point(
     return registry.create("P", m).timing(request).total_s
 
 
-def run(
-    machine: MachineConfig | None = None,
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-) -> BandwidthSweepResult:
-    machine = machine or default_machine()
-    dimm_link = _point(machine, "dimm_link", 0.0, payload_bytes)
-    inter_bank = []
-    for gbs in INTER_BANK_SWEEP_GBS:
-        t = _point(machine, "inter_bank", gbs, payload_bytes)
-        inter_bank.append((gbs, t, dimm_link / t))
-    global_bw = []
-    for scale in GLOBAL_SCALE_SWEEP:
-        t = _point(machine, "global", scale, payload_bytes)
-        global_bw.append((scale, t, dimm_link / t))
-    return BandwidthSweepResult(
-        payload_bytes=payload_bytes,
-        dimm_link_time_s=dimm_link,
-        inter_bank=tuple(inter_bank),
-        global_bw=tuple(global_bw),
-    )
-
-
 def build_tables(result: BandwidthSweepResult) -> tuple[ExperimentTable, ...]:
     rows_a = tuple(
         (f"{gbs:.1f}", f"{t * 1e6:.1f}", f"{s:.1f}x")
@@ -116,10 +94,6 @@ def build_tables(result: BandwidthSweepResult) -> tuple[ExperimentTable, ...]:
         notes="inter-bank fixed at 0.7 GB/s",
     )
     return (table_a, table_b)
-
-
-def format_table(result: BandwidthSweepResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
 
 
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
@@ -160,7 +134,7 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[float, ...]
-) -> tuple[ExperimentTable, ...]:
+) -> BandwidthSweepResult:
     dimm_link = values[0]
     nb = len(INTER_BANK_SWEEP_GBS)
     inter_bank = tuple(
@@ -171,13 +145,12 @@ def _assemble(
         (scale, t, dimm_link / t)
         for scale, t in zip(GLOBAL_SCALE_SWEEP, values[1 + nb:])
     )
-    result = BandwidthSweepResult(
+    return BandwidthSweepResult(
         payload_bytes=DEFAULT_PAYLOAD_BYTES,
         dimm_link_time_s=dimm_link,
         inter_bank=inter_bank,
         global_bw=global_bw,
     )
-    return build_tables(result)
 
 
 SPEC = register_experiment(
@@ -186,4 +159,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

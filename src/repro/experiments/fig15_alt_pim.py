@@ -16,7 +16,7 @@ from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import MlpWorkload, NttWorkload, compare_backends
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 PROFILES = ("UPMEM", "HBM-PIM", "GDDR6-AiM")
 WORKLOAD_NAMES = ("MLP", "NTT")
@@ -44,16 +44,6 @@ def _point(machine: MachineConfig, workload: str, profile: str) -> float:
     return results["P"].speedup_over(results["B"])
 
 
-def run(machine: MachineConfig | None = None) -> AltPimResult:
-    machine = machine or default_machine()
-    speedups: dict[str, dict[str, float]] = {}
-    for name in WORKLOAD_NAMES:
-        speedups[name] = {
-            profile: _point(machine, name, profile) for profile in PROFILES
-        }
-    return AltPimResult(speedups=speedups)
-
-
 def build_tables(result: AltPimResult) -> tuple[ExperimentTable, ...]:
     rows = []
     for name, row in result.speedups.items():
@@ -73,10 +63,6 @@ def build_tables(result: AltPimResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: AltPimResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     points = []
     for name in WORKLOAD_NAMES:
@@ -91,13 +77,13 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[float, ...]
-) -> tuple[ExperimentTable, ...]:
+) -> AltPimResult:
     it = iter(values)
     speedups = {
         name: {profile: next(it) for profile in PROFILES}
         for name in WORKLOAD_NAMES
     }
-    return build_tables(AltPimResult(speedups=speedups))
+    return AltPimResult(speedups=speedups)
 
 
 SPEC = register_experiment(
@@ -106,4 +92,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -19,7 +19,7 @@ from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
 from ..workloads import emb_synth
 from ..workloads.base import CommPhase, ExecutionEngine
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 CHANNEL_COUNTS = (1, 2, 4, 8)
 
@@ -74,21 +74,6 @@ def _point(machine: MachineConfig, channels: int) -> dict[str, float]:
     }
 
 
-def run(machine: MachineConfig | None = None) -> MultiChannelResult:
-    machine = machine or default_machine()
-    baseline_times = []
-    pimnet_times = []
-    for k in CHANNEL_COUNTS:
-        at_k = _point(machine, k)
-        baseline_times.append(at_k["baseline"])
-        pimnet_times.append(at_k["pimnet"])
-    return MultiChannelResult(
-        channel_counts=CHANNEL_COUNTS,
-        baseline_s=tuple(baseline_times),
-        pimnet_s=tuple(pimnet_times),
-    )
-
-
 def build_tables(result: MultiChannelResult) -> tuple[ExperimentTable, ...]:
     rows = tuple(
         (
@@ -112,10 +97,6 @@ def build_tables(result: MultiChannelResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: MultiChannelResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"channels": k})
@@ -125,13 +106,12 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    result = MultiChannelResult(
+) -> MultiChannelResult:
+    return MultiChannelResult(
         channel_counts=CHANNEL_COUNTS,
         baseline_s=tuple(v["baseline"] for v in values),
         pimnet_s=tuple(v["pimnet"] for v in values),
     )
-    return build_tables(result)
 
 
 SPEC = register_experiment(
@@ -140,4 +120,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -68,10 +68,6 @@ def build_tables(result: MultiTenancyResult) -> tuple[ExperimentTable, ...]:
     return tuple(tables)
 
 
-def format_table(result: MultiTenancyResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 SPEC = register_monolithic(
     "fig17", "Fig 17: multi-tenancy isolation", run, build_tables
 )

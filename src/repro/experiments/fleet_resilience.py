@@ -315,20 +315,6 @@ def _point(
     )
 
 
-def run(
-    machine: MachineConfig | None = None,
-    trials: int = DEFAULTS["trials"],
-    **kwargs: Any,
-) -> list[dict[str, Any]]:
-    """All trials, serially (the runner parallelizes via the spec)."""
-    from .common import default_machine
-
-    machine = machine or default_machine()
-    return [
-        run_trial(machine, trial=trial, **kwargs) for trial in range(trials)
-    ]
-
-
 def build_tables(values: "list[dict] | tuple[dict, ...]") -> tuple[
     ExperimentTable, ...
 ]:
@@ -427,10 +413,6 @@ def build_tables(values: "list[dict] | tuple[dict, ...]") -> tuple[
     return (load_table, health_table, slo_table)
 
 
-def format_table(values: "list[dict] | tuple[dict, ...]") -> str:
-    return "\n\n".join(t.format() for t in build_tables(values))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     params = {
         name: DEFAULTS[name]
@@ -445,8 +427,9 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(values)
+) -> tuple[dict, ...]:
+    """One JSON-able :func:`run_trial` summary per trial."""
+    return values
 
 
 SPEC = register_experiment(
@@ -455,4 +438,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -59,10 +59,6 @@ def build_tables(report: HwOverheadReport) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(report: HwOverheadReport) -> str:
-    return "\n\n".join(t.format() for t in build_tables(report))
-
-
 SPEC = register_monolithic(
     "hw_overhead",
     "Sec VI-B: hardware overhead",

@@ -19,7 +19,7 @@ from ..collectives.patterns import Collective, CollectiveRequest
 from ..config.presets import MachineConfig
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 
 PAYLOADS = tuple(256 * (4 ** e) for e in range(7))  # 256 B .. 1 MiB
 BACKENDS = ("B", "S", "D", "P")
@@ -60,65 +60,42 @@ def _point(
     }
 
 
-def run(
-    pattern: Collective = Collective.ALL_REDUCE,
-    machine: MachineConfig | None = None,
-) -> SizeSweepResult:
-    machine = machine or default_machine()
-    times: dict[str, list[float]] = {k: [] for k in BACKENDS}
-    for payload in PAYLOADS:
-        at_p = _point(machine, pattern.value, payload)
-        for key in BACKENDS:
-            times[key].append(at_p[key])
-    return SizeSweepResult(
-        pattern=pattern,
-        payloads=PAYLOADS,
-        times_s={k: tuple(v) for k, v in times.items()},
-    )
-
-
-def run_both(
-    machine: MachineConfig | None = None,
-) -> tuple[SizeSweepResult, SizeSweepResult]:
-    return (
-        run(Collective.ALL_REDUCE, machine),
-        run(Collective.ALL_TO_ALL, machine),
-    )
-
-
-def build_tables(result: SizeSweepResult) -> tuple[ExperimentTable, ...]:
-    speedups = result.speedup_series()
-    rows = []
-    for i, payload in enumerate(result.payloads):
-        label = (
-            f"{payload // 1024} KiB" if payload >= 1024 else f"{payload} B"
-        )
-        rows.append(
-            (label,)
-            + tuple(
-                f"{result.times_s[k][i] * 1e6:.1f}" for k in BACKENDS
+def build_tables(
+    results: tuple[SizeSweepResult, ...],
+) -> tuple[ExperimentTable, ...]:
+    """One table per pattern: AllReduce, then All-to-All."""
+    tables = []
+    for result in results:
+        speedups = result.speedup_series()
+        rows = []
+        for i, payload in enumerate(result.payloads):
+            label = (
+                f"{payload // 1024} KiB" if payload >= 1024
+                else f"{payload} B"
             )
-            + tuple(f"{speedups[k][i]:.1f}x" for k in ("S", "P"))
+            rows.append(
+                (label,)
+                + tuple(
+                    f"{result.times_s[k][i] * 1e6:.1f}" for k in BACKENDS
+                )
+                + tuple(f"{speedups[k][i]:.1f}x" for k in ("S", "P"))
+            )
+        peak_payload, peak = result.pimnet_speedup_peak()
+        tables.append(
+            ExperimentTable(
+                f"Size sweep ({result.pattern.value})",
+                "Collective time (us) vs per-DPU payload, 256 DPUs",
+                ("payload",)
+                + tuple(f"{k} us" for k in BACKENDS)
+                + ("S speedup", "P speedup"),
+                tuple(rows),
+                notes=(
+                    f"PIMnet gain peaks at {peak_payload} B/DPU: "
+                    f"{peak:.1f}x over baseline"
+                ),
+            )
         )
-    peak_payload, peak = result.pimnet_speedup_peak()
-    return (
-        ExperimentTable(
-            f"Size sweep ({result.pattern.value})",
-            "Collective time (us) vs per-DPU payload, 256 DPUs",
-            ("payload",)
-            + tuple(f"{k} us" for k in BACKENDS)
-            + ("S speedup", "P speedup"),
-            tuple(rows),
-            notes=(
-                f"PIMnet gain peaks at {peak_payload} B/DPU: {peak:.1f}x "
-                "over baseline"
-            ),
-        ),
-    )
-
-
-def format_table(result: SizeSweepResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
+    return tuple(tables)
 
 
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
@@ -136,8 +113,9 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict[str, float], ...]
-) -> tuple[ExperimentTable, ...]:
-    tables = []
+) -> tuple[SizeSweepResult, ...]:
+    """(AllReduce, All-to-All) sweeps over the same payloads."""
+    results = []
     per_panel = len(PAYLOADS)
     for i, pattern in enumerate(PANEL_PATTERNS):
         chunk = values[i * per_panel:(i + 1) * per_panel]
@@ -148,8 +126,8 @@ def _assemble(
                 key: tuple(at_p[key] for at_p in chunk) for key in BACKENDS
             },
         )
-        tables.extend(build_tables(result))
-    return tuple(tables)
+        results.append(result)
+    return tuple(results)
 
 
 SPEC = register_experiment(
@@ -158,4 +136,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -143,7 +143,11 @@ def _point(
     seed: int,
 ) -> dict[str, float | int]:
     """One injection rate in the cycle-level simulator; ``machine`` is
-    not used (the NoC simulator is parameterized by shape)."""
+    not used (the NoC simulator is parameterized by shape).
+
+    ``rate`` is messages per DPU per 100 cycles; arrival times are
+    deterministic per seed so the sweep is reproducible.
+    """
     network, messages = build_point_workload(
         rate, banks, chips, ranks, messages_per_dpu, flits_per_message, seed
     )
@@ -152,42 +156,6 @@ def _point(
         "mean_latency": float(stats.mean_message_latency),
         "cycles": int(stats.cycles),
     }
-
-
-def run(
-    banks: int = 2,
-    chips: int = 2,
-    ranks: int = 2,
-    messages_per_dpu: int = 10,
-    flits_per_message: int = 4,
-    seed: int = 5,
-) -> LoadLatencyResult:
-    """Sweep injection rate for uniform-random traffic.
-
-    ``rate`` is messages per DPU per 100 cycles; arrival times are
-    deterministic per seed so the sweep is reproducible.
-    """
-    latencies = []
-    completions = []
-    for rate in INJECTION_RATES:
-        at_rate = _point(
-            None,
-            rate,
-            banks=banks,
-            chips=chips,
-            ranks=ranks,
-            messages_per_dpu=messages_per_dpu,
-            flits_per_message=flits_per_message,
-            seed=seed,
-        )
-        latencies.append(at_rate["mean_latency"])
-        completions.append(at_rate["cycles"])
-    return LoadLatencyResult(
-        shape=Shape(banks, chips, ranks),
-        rates=INJECTION_RATES,
-        mean_latency_cycles=tuple(latencies),
-        completion_cycles=tuple(completions),
-    )
 
 
 def build_tables(result: LoadLatencyResult) -> tuple[ExperimentTable, ...]:
@@ -214,10 +182,6 @@ def build_tables(result: LoadLatencyResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: LoadLatencyResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"rate": rate, **DEFAULTS})
@@ -227,8 +191,8 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
 
 def _assemble(
     machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    result = LoadLatencyResult(
+) -> LoadLatencyResult:
+    return LoadLatencyResult(
         shape=Shape(
             DEFAULTS["banks"], DEFAULTS["chips"], DEFAULTS["ranks"]
         ),
@@ -236,7 +200,6 @@ def _assemble(
         mean_latency_cycles=tuple(v["mean_latency"] for v in values),
         completion_cycles=tuple(v["cycles"] for v in values),
     )
-    return build_tables(result)
 
 
 SPEC = register_experiment(
@@ -245,4 +208,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -39,7 +39,7 @@ from ..workloads import (
     prim_workloads,
 )
 from ..workloads.base import collective_volume, comm_trace
-from .common import ExperimentTable, default_machine
+from .common import ExperimentTable
 from .fig10_applications import app_from_jsonable, app_to_jsonable
 
 BACKEND_ORDER = ("B", "S", "N", "D", "P")
@@ -175,14 +175,6 @@ def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(points)
 
 
-def run(machine: MachineConfig | None = None) -> dict:
-    machine = machine or default_machine()
-    values = {
-        key: _workload_point(machine, key) for key in WORKLOAD_KEYS
-    }
-    return {"workloads": values, "service": _service_point(machine)}
-
-
 def build_tables(result: dict) -> tuple[ExperimentTable, ...]:
     volume_rows = []
     latency_rows = []
@@ -259,18 +251,11 @@ def build_tables(result: dict) -> tuple[ExperimentTable, ...]:
     return (volume_table, latency_table, service_table)
 
 
-def format_table(result: dict) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    result = {
+def _assemble(machine: MachineConfig, values: tuple[dict, ...]) -> dict:
+    return {
         "workloads": dict(zip(WORKLOAD_KEYS, values)),
         "service": values[len(WORKLOAD_KEYS)],
     }
-    return build_tables(result)
 
 
 SPEC = register_experiment(
@@ -279,4 +264,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

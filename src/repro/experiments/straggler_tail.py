@@ -81,24 +81,9 @@ def _point(
     }
 
 
-def run(
-    machine: MachineConfig | None = None,
-    seed: int = DEFAULTS["seed"],
-    trials: int = DEFAULTS["trials"],
-    payload_bytes: int = DEFAULTS["payload_bytes"],
-    straggler_rate: float = DEFAULTS["straggler_rate"],
+def _assemble(
+    machine: MachineConfig, values: tuple[dict, ...]
 ) -> StragglerTailResult:
-    from .common import default_machine
-
-    machine = machine or default_machine()
-    values = [
-        _point(machine, s, seed, trials, payload_bytes, straggler_rate)
-        for s in SEVERITIES
-    ]
-    return _result(values)
-
-
-def _result(values) -> StragglerTailResult:
     return StragglerTailResult(
         severities=SEVERITIES,
         p50s=tuple(v["p50"] for v in values),
@@ -145,21 +130,11 @@ def build_tables(result: StragglerTailResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: StragglerTailResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 def _points(machine: MachineConfig) -> tuple[SweepPoint, ...]:
     return tuple(
         SweepPoint(i, {"severity": severity, **DEFAULTS})
         for i, severity in enumerate(SEVERITIES)
     )
-
-
-def _assemble(
-    machine: MachineConfig, values: tuple[dict, ...]
-) -> tuple[ExperimentTable, ...]:
-    return build_tables(_result(values))
 
 
 SPEC = register_experiment(
@@ -168,4 +143,5 @@ SPEC = register_experiment(
     points=_points,
     point_fn=_point,
     assemble=_assemble,
+    build_tables=build_tables,
 )

@@ -90,10 +90,6 @@ def build_tables(result: TiersResult) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: TiersResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 SPEC = register_monolithic(
     "table04", "Table IV: PIMnet network hierarchy", run, build_tables
 )

@@ -28,10 +28,6 @@ def build_tables(result: dict[Collective, str]) -> tuple[ExperimentTable, ...]:
     )
 
 
-def format_table(result: dict[Collective, str]) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 SPEC = register_monolithic(
     "table05",
     "Table V: collective primitives on PIMnet",

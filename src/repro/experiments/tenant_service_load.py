@@ -365,10 +365,6 @@ def build_tables(result: TenantServiceLoadResult) -> tuple[ExperimentTable, ...]
     return (load_table, slo_table)
 
 
-def format_table(result: TenantServiceLoadResult) -> str:
-    return "\n\n".join(t.format() for t in build_tables(result))
-
-
 SPEC = register_monolithic(
     "tenant_service_load",
     "Tenant service load: time-sliced multi-tenant admission",

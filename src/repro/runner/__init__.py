@@ -7,8 +7,8 @@ Three pieces:
   (pure functions of a :class:`MachineConfig` plus JSON-able params);
 * :mod:`repro.runner.executor` — runs the points serially or over a
   ``ProcessPoolExecutor`` (``RunnerConfig.jobs``), with per-point
-  timeouts and deterministic index-ordered reassembly into
-  :class:`ExperimentTable` tuples;
+  timeouts and deterministic index-ordered reassembly into the
+  experiment's typed result and its :class:`ExperimentTable` tuple;
 * :mod:`repro.runner.cache` — persists point results as JSON under
   ``.repro-cache/``, keyed on a stable hash of (experiment id,
   canonical machine config, params, code fingerprint).
@@ -34,7 +34,7 @@ from .cache import (
     code_fingerprint,
 )
 from .canonical import canonical_json, canonicalize
-from .executor import ExperimentRun, run_experiment, run_experiments
+from .executor import ExperimentRun, run_experiment
 from .registry import (
     REGISTRY,
     RunnerRegistry,
@@ -45,6 +45,7 @@ from .registry import (
 from .spec import (
     ExperimentSpec,
     SweepPoint,
+    format_tables,
     monolithic_spec,
     table_from_jsonable,
     table_to_jsonable,
@@ -68,11 +69,11 @@ __all__ = [
     "canonicalize",
     "code_fingerprint",
     "ensure_experiments_loaded",
+    "format_tables",
     "monolithic_spec",
     "register_experiment",
     "register_monolithic",
     "run_experiment",
-    "run_experiments",
     "table_from_jsonable",
     "table_to_jsonable",
     "tables_from_jsonable",

@@ -4,8 +4,8 @@ The executor resolves an experiment's sweep points, satisfies what it
 can from the content-addressed cache, computes the rest — serially, or
 fanned out over a ``ProcessPoolExecutor`` when ``RunnerConfig.jobs > 1``
 — and reassembles the values *by point index*, so the resulting tables
-are bit-identical regardless of jobs count, submission order, or cache
-state.
+and the typed result they render are bit-identical regardless of jobs
+count, submission order, or cache state.
 
 A failing or timed-out point surfaces as :class:`PointExecutionError`
 carrying the point's params; the pool is cancelled and shut down before
@@ -20,7 +20,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from ..config.runner import RunnerConfig
 from ..errors import PointExecutionError, RunnerError
@@ -33,7 +33,7 @@ from ..observability.metrics import (
 )
 from .cache import ResultCache, cache_key, code_fingerprint
 from .registry import REGISTRY
-from .spec import ExperimentSpec, SweepPoint
+from .spec import ExperimentSpec, SweepPoint, format_tables
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..config.presets import MachineConfig
@@ -45,14 +45,16 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class ExperimentRun:
-    """One executed experiment: its tables plus how they were obtained.
+    """One executed experiment: its result, and how it was obtained.
 
-    ``seed`` records the global seed override the run was executed
-    under (``repro run --seed``); ``None`` means every seeded point
-    used its registered default.
+    ``result`` is what the spec's ``assemble`` returned and ``tables``
+    is ``spec.build_tables(result)``.  ``seed`` records the global seed
+    override the run was executed under (``repro run --seed``); ``None``
+    means every seeded point used its registered default.
     """
 
     experiment_id: str
+    result: Any
     tables: tuple["ExperimentTable", ...]
     points: int
     cache_hits: int
@@ -61,7 +63,7 @@ class ExperimentRun:
     seed: int | None = None
 
     def format(self) -> str:
-        return "\n\n".join(table.format() for table in self.tables)
+        return format_tables(self.tables)
 
 
 def run_experiment(
@@ -123,33 +125,18 @@ def run_experiment(
             if cache is not None:
                 cache.put(experiment_id, key, value, params=point.params)
 
-    tables = tuple(spec.assemble(machine, tuple(values)))
+    result = spec.assemble(machine, tuple(values))
     metric_counter("runner.experiments").inc()
     metric_counter("runner.points").inc(len(points))
     return ExperimentRun(
         experiment_id=experiment_id,
-        tables=tables,
+        result=result,
+        tables=tuple(spec.build_tables(result)),
         points=len(points),
         cache_hits=hits,
         cache_misses=len(pending),
         elapsed_s=time.perf_counter() - start,
         seed=seed,
-    )
-
-
-def run_experiments(
-    experiment_ids: Sequence[str],
-    machine: "MachineConfig | None" = None,
-    runner: RunnerConfig | None = None,
-    seed: int | None = None,
-) -> tuple[ExperimentRun, ...]:
-    """Execute several experiments in the given order, one shared machine."""
-    if machine is None:
-        machine = _default_machine()
-    runner = runner or RunnerConfig()
-    return tuple(
-        run_experiment(experiment_id, machine, runner, seed=seed)
-        for experiment_id in experiment_ids
     )
 
 

@@ -71,7 +71,8 @@ def register_experiment(
     title: str,
     points: Callable[..., tuple[SweepPoint, ...]],
     point_fn: Callable[..., Any],
-    assemble: Callable[..., tuple],
+    assemble: Callable[..., Any],
+    build_tables: Callable[[Any], tuple],
     worker_import: str | None = None,
 ) -> ExperimentSpec:
     """Build and register a swept experiment (idempotent on re-import)."""
@@ -82,6 +83,7 @@ def register_experiment(
             points=points,
             point_fn=point_fn,
             assemble=assemble,
+            build_tables=build_tables,
             worker_import=worker_import,
         ),
         replace=True,

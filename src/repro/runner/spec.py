@@ -10,11 +10,13 @@ An :class:`ExperimentSpec` wraps one figure/table driver as
   cross process boundaries losslessly);
 * ``assemble(machine, values)`` — deterministically reassembles the
   point values (ordered by ``SweepPoint.index``, *never* by completion
-  order) into the experiment's :class:`ExperimentTable` tuple.
+  order) into the experiment's typed result;
+* ``build_tables(result)`` — renders that result as the experiment's
+  :class:`ExperimentTable` tuple.
 
 Experiments with no natural sweep decomposition register through
 :func:`monolithic_spec`: a single point whose value is the serialized
-tables themselves.
+tables themselves, so their result is just the tables.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ class ExperimentSpec:
     title: str
     points: Callable[["MachineConfig"], tuple[SweepPoint, ...]]
     point_fn: Callable[..., Any]
-    assemble: Callable[
-        ["MachineConfig", tuple[Any, ...]], tuple["ExperimentTable", ...]
-    ]
+    assemble: Callable[["MachineConfig", tuple[Any, ...]], Any]
+    #: The default serves specs whose result already is its tables.
+    build_tables: Callable[[Any], tuple["ExperimentTable", ...]] = tuple
     #: Module imported in worker processes before resolving the spec —
     #: only needed for specs registered outside ``repro.experiments``
     #: under a non-``fork`` multiprocessing start method.
@@ -104,6 +106,11 @@ def tables_from_jsonable(data: list[dict[str, Any]]) -> tuple[
     "ExperimentTable", ...
 ]:
     return tuple(table_from_jsonable(d) for d in data)
+
+
+def format_tables(tables: tuple["ExperimentTable", ...]) -> str:
+    """Tables as the CLI prints them, separated by a blank line."""
+    return "\n\n".join(table.format() for table in tables)
 
 
 def monolithic_spec(

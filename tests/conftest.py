@@ -8,9 +8,11 @@ import pytest
 from repro.config import (
     MachineConfig,
     PimSystemConfig,
+    RunnerConfig,
     pimnet_sim_system,
     small_test_system,
 )
+from repro.runner import run_experiment
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -71,3 +73,18 @@ def make_buffers(
         rng.integers(low, high, num_elements).astype(dtype)
         for _ in range(num_dpus)
     ]
+
+
+def experiment_result(
+    experiment_id: str,
+    machine: MachineConfig | None = None,
+    seed: int | None = None,
+):
+    """An experiment's typed result, run through its registered spec
+    exactly as ``repro run`` does, with the result cache off."""
+    return run_experiment(
+        experiment_id,
+        machine=machine,
+        runner=RunnerConfig(cache_enabled=False),
+        seed=seed,
+    ).result

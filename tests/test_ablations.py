@@ -3,11 +3,14 @@
 import pytest
 
 from repro.experiments import ablations
+from repro.runner import format_tables
+
+from .conftest import experiment_result
 
 
 @pytest.fixture(scope="module")
 def results():
-    return ablations.run()
+    return experiment_result("ablations")
 
 
 class TestHierarchy:
@@ -53,6 +56,6 @@ class TestInterChannelBridge:
 
 class TestFormatting:
     def test_table_renders(self, results):
-        text = ablations.format_table(results)
+        text = format_tables(ablations.build_tables(results))
         assert "Ablations" in text
         assert "hierarchical vs flat ring" in text

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.experiments import characterization
+from repro.runner import format_tables
+
+from .conftest import experiment_result
 
 
 @pytest.fixture(scope="module")
 def result():
-    return characterization.run()
+    return experiment_result("characterization")
 
 
 class TestBandwidthCurves:
@@ -31,5 +34,5 @@ class TestBandwidthCurves:
         )
 
     def test_format(self, result):
-        text = characterization.format_table(result)
+        text = format_tables(characterization.build_tables(result))
         assert "Host-link characterization" in text

@@ -1,10 +1,15 @@
 """Command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -21,6 +26,25 @@ class TestList:
         ids = {e["id"] for e in payload["experiments"]}
         assert {"fig02", "fig10", "table04"} <= ids
         assert all("summary" in e for e in payload["experiments"])
+
+    def test_closed_pipe_exits_1_without_a_traceback(self):
+        # `repro list | head -1`: the reader is gone before the output
+        # is written.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (
+                str(Path(repro.__file__).resolve().parent.parent),
+                env.get("PYTHONPATH", ""),
+            ) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err, err.decode()
 
 
 class TestRun:
@@ -355,6 +379,12 @@ class TestBadArguments:
             ["faults", "run", "stragglers", "--seed", "-1"],
             ["faults", "run", "{spec}"],
             ["faults", "run", "mixed", "--slo", "{slo}"],
+            ["faults", "run", "mixed", "--metrics", "{metrics}",
+             "--slo", "{missing}"],
+            ["service", "bench", "--tenants", "2", "--requests", "4",
+             "--metrics", "{metrics}", "--slo", "{bad_slo}"],
+            ["fleet", "bench", "--tenants", "2", "--requests", "4",
+             "--metrics", "{metrics}", "--slo", "{bad_slo}"],
             ["serve", "--window", "0"],
             ["fleet", "bench", "--shards", "0"],
             ["fleet", "bench", "--kill-shard", "0", "--kill-shard", "2"],
@@ -370,12 +400,22 @@ class TestBadArguments:
     )
     def test_exits_2_fast_with_a_clean_message(self, argv, tmp_path, capsys):
         # {spec} is a file that is no campaign spec or reproducer (an
-        # unknown field); {slo} is a valid SLO file.
+        # unknown field); {slo} is a valid SLO file, {bad_slo} is not
+        # JSON and {missing} does not exist.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"name": "x", "warp_factor": 9}))
         slo = tmp_path / "slo.json"
         slo.write_text("[]")
-        argv = [a.format(spec=spec, slo=slo) for a in argv]
+        bad_slo = tmp_path / "bad.json"
+        bad_slo.write_text("{not json")
+        metrics = tmp_path / "m.csv"
+        argv = [
+            a.format(
+                spec=spec, slo=slo, bad_slo=bad_slo, metrics=metrics,
+                missing=tmp_path / "missing.json",
+            )
+            for a in argv
+        ]
         start = time.perf_counter()
         try:
             code = main(argv)
@@ -387,6 +427,7 @@ class TestBadArguments:
         assert err.strip() and "Traceback" not in err
         # Well under the 120 s default --timeout: nothing was driven.
         assert elapsed < 10.0
+        assert not metrics.exists()
 
 
 class TestVerify:

@@ -2,23 +2,20 @@
 
 import pytest
 
-from repro.collectives import Collective
 from repro.experiments import (
-    EXPERIMENTS,
     fig02_roofline,
     fig03_motivation,
     fig10_applications,
     fig11_comm_breakdown,
-    fig12_collective_scaling,
     fig13_flow_control,
-    fig14_bandwidth_sweep,
-    fig15_alt_pim,
-    fig16_multichannel,
     fig17_multitenancy,
     hw_overhead,
     table04_tiers,
     table05_algorithms,
 )
+from repro.runner import REGISTRY, format_tables
+
+from .conftest import experiment_result
 
 
 class TestRegistry:
@@ -31,12 +28,7 @@ class TestRegistry:
             "fault_sweep", "straggler_tail", "tenant_service_load",
             "fleet_resilience", "prim_suite",
         }
-        assert set(EXPERIMENTS) == expected
-
-    def test_drivers_expose_run_and_format(self):
-        for module in EXPERIMENTS.values():
-            assert hasattr(module, "run")
-            assert hasattr(module, "format_table")
+        assert set(REGISTRY.ids()) == expected
 
 
 class TestFig02:
@@ -45,32 +37,44 @@ class TestFig02:
         assert 5 <= result.ceiling_ratio() <= 12
 
     def test_format(self):
-        text = fig02_roofline.format_table(fig02_roofline.run())
+        text = format_tables(
+            fig02_roofline.build_tables(fig02_roofline.run())
+        )
         assert "Fig 2a" in text and "Fig 2b" in text
 
 
 class TestFig03:
-    def test_allreduce_throughput_scales(self):
-        result = fig03_motivation.run(Collective.ALL_REDUCE)
-        rel = result.normalized_throughput()
+    @pytest.fixture(scope="class")
+    def panels(self):
+        return experiment_result("fig03")
+
+    def test_allreduce_throughput_scales(self, panels):
+        rel = panels[0].normalized_throughput()
         # PIMnet keeps scaling; baseline saturates
         assert rel["P"][-1] > 10 * rel["P"][0]
         assert rel["B"][-1] < 2 * rel["B"][0]
 
-    def test_software_flatlines_beyond_64(self):
-        result = fig03_motivation.run(Collective.ALL_REDUCE)
-        rel = result.normalized_throughput()["S"]
+    def test_allreduce_ordering_at_256_dpus(self, panels):
+        """Fig 3a: at 256 DPUs, PIMnet > Software(Ideal) > Baseline."""
+        rel = panels[0].normalized_throughput()
+        assert rel["P"][-1] > rel["S"][-1] > rel["B"][-1]
+
+    def test_software_flatlines_beyond_64(self, panels):
+        rel = panels[0].normalized_throughput()["S"]
         assert rel[-1] == pytest.approx(rel[-2], rel=0.1)
 
-    def test_alltoall_benefit_smaller(self):
-        ar, a2a = fig03_motivation.run_both()
+    def test_alltoall_benefit_smaller(self, panels):
+        ar, a2a = panels
         assert (
             a2a.normalized_throughput()["P"][-1]
             < ar.normalized_throughput()["P"][-1]
         )
 
-    def test_format(self):
-        text = fig03_motivation.format_table(fig03_motivation.run())
+    def test_alltoall_pimnet_at_256_beats_baseline_at_8(self, panels):
+        assert panels[1].normalized_throughput()["P"][-1] > 1
+
+    def test_format(self, panels):
+        text = format_tables(fig03_motivation.build_tables(panels))
         assert "Fig 3a" in text
 
 
@@ -107,19 +111,19 @@ class TestTables:
         assert result.chip_bisection_gbs == pytest.approx(2.8)
         assert result.rank_interbank_bisection_gbs == pytest.approx(22.4)
         assert result.rank_aggregate_gbs == pytest.approx(179.2)
-        assert "Table IV" in table04_tiers.format_table(result)
+        assert "Table IV" in format_tables(table04_tiers.build_tables(result))
 
     def test_table05_all_patterns(self):
         result = table05_algorithms.run()
         assert len(result) == 5
-        text = table05_algorithms.format_table(result)
+        text = format_tables(table05_algorithms.build_tables(result))
         assert "Permutation(inter-chip)" in text
 
 
 class TestFig10:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig10_applications.run()
+        return experiment_result("fig10")
 
     def test_all_workloads_present(self, result):
         assert set(result.results) >= {
@@ -135,14 +139,14 @@ class TestFig10:
         assert 8 <= value <= 13
 
     def test_format(self, result):
-        text = fig10_applications.format_table(result)
+        text = format_tables(fig10_applications.build_tables(result))
         assert "Fig 10" in text
 
 
 class TestFig11:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig11_comm_breakdown.run()
+        return experiment_result("fig11")
 
     def test_pimnet_beats_reference_everywhere(self, result):
         for entry in result.entries:
@@ -155,25 +159,30 @@ class TestFig11:
         assert refs["CC"] == "D"
 
     def test_format(self, result):
-        assert "Fig 11" in fig11_comm_breakdown.format_table(result)
+        tables = fig11_comm_breakdown.build_tables(result)
+        assert "Fig 11" in format_tables(tables)
 
 
 class TestFig12:
-    def test_allreduce_speedup_grows(self):
-        result = fig12_collective_scaling.run(Collective.ALL_REDUCE)
-        p = result.speedups["P"]
+    @pytest.fixture(scope="class")
+    def panels(self):
+        return experiment_result("fig12")
+
+    def test_allreduce_speedup_grows(self, panels):
+        p = panels[0].speedups["P"]
         assert p[-1] > p[0]
         assert p[-1] > 20
 
-    def test_alltoall_speedup_flattens(self):
-        result = fig12_collective_scaling.run(Collective.ALL_TO_ALL)
-        p = result.speedups["P"]
-        assert p[-1] < 0.6 * fig12_collective_scaling.run(
-            Collective.ALL_REDUCE
-        ).speedups["P"][-1]
+    def test_alltoall_speedup_flattens(self, panels):
+        p = panels[1].speedups["P"]
+        assert p[-1] < 0.6 * panels[0].speedups["P"][-1]
 
-    def test_ndpbridge_only_in_a2a(self):
-        ar, a2a = fig12_collective_scaling.run_both()
+    def test_alltoall_pimnet_beats_software(self, panels):
+        a2a = panels[1].speedups
+        assert a2a["P"][-1] > a2a["S"][-1]
+
+    def test_ndpbridge_only_in_a2a(self, panels):
+        ar, a2a = panels
         assert "N" not in ar.speedups
         assert "N" in a2a.speedups
 
@@ -181,7 +190,7 @@ class TestFig12:
 class TestFig14:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig14_bandwidth_sweep.run()
+        return experiment_result("fig14")
 
     def test_min_interbank_speedup_at_least_3x(self, result):
         """Paper: PIMnet >= 3x DIMM-Link even at 0.1 GB/s."""
@@ -197,7 +206,7 @@ class TestFig14:
 
 class TestFig15:
     def test_benefit_grows_with_compute_throughput(self):
-        result = fig15_alt_pim.run()
+        result = experiment_result("fig15")
         for workload in ("MLP", "NTT"):
             row = result.speedups[workload]
             assert row["UPMEM"] < row["HBM-PIM"] <= row["GDDR6-AiM"] * 1.01
@@ -206,7 +215,7 @@ class TestFig15:
 
 class TestFig16:
     def test_speedup_grows_with_channels(self):
-        result = fig16_multichannel.run()
+        result = experiment_result("fig16")
         speedups = result.speedups()
         assert speedups[-1] > speedups[0]
         assert all(s > 1 for s in speedups)
@@ -221,7 +230,7 @@ class TestFig17:
 class TestHwOverhead:
     def test_report_and_format(self):
         report = hw_overhead.run()
-        text = hw_overhead.format_table(report)
+        text = format_tables(hw_overhead.build_tables(report))
         assert "HW overhead" in text
         assert report.router_to_stop_area_ratio > 60
 
@@ -229,10 +238,9 @@ class TestHwOverhead:
 @pytest.mark.slow
 class TestFig13:
     def test_flow_control_directions(self):
-        result = fig13_flow_control.run(
-            banks=4, chips=4, ranks=1, elements_per_dpu=256
-        )
+        result = experiment_result("fig13")
         # AR near parity; A2A favors scheduling
         assert abs(result.reduction_percent("allreduce")) < 15
         assert result.reduction_percent("alltoall") > 0
-        assert "Fig 13" in fig13_flow_control.format_table(result)
+        tables = fig13_flow_control.build_tables(result)
+        assert "Fig 13" in format_tables(tables)

@@ -5,18 +5,19 @@ import pytest
 
 from repro.config import small_test_system
 from repro.experiments import fault_sweep, straggler_tail
+from repro.runner import format_tables
 
-TRIALS = 8
+from .conftest import experiment_result
 
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return fault_sweep.run(machine=small_test_system(), trials=TRIALS)
+    return experiment_result("fault_sweep", machine=small_test_system())
 
 
 @pytest.fixture(scope="module")
 def tail_result():
-    return straggler_tail.run(machine=small_test_system(), trials=TRIALS)
+    return experiment_result("straggler_tail", machine=small_test_system())
 
 
 class TestFaultSweep:
@@ -36,15 +37,15 @@ class TestFaultSweep:
         assert all(b >= a for a, b in zip(retries, retries[1:]))
 
     def test_format_table_shape(self, sweep_result):
-        text = fault_sweep.format_table(sweep_result)
+        text = format_tables(fault_sweep.build_tables(sweep_result))
         assert "fault_sweep" in text
         assert "rate factor" in text
         assert "monotone" in text
 
     def test_deterministic(self):
         machine = small_test_system()
-        a = fault_sweep.run(machine=machine, trials=4)
-        b = fault_sweep.run(machine=machine, trials=4)
+        a = experiment_result("fault_sweep", machine=machine)
+        b = experiment_result("fault_sweep", machine=machine)
         assert a == b
 
 
@@ -63,6 +64,6 @@ class TestStragglerTail:
             assert p999 >= p50
 
     def test_format_table_shape(self, tail_result):
-        text = straggler_tail.format_table(tail_result)
+        text = format_tables(straggler_tail.build_tables(tail_result))
         assert "straggler_tail" in text
         assert "severity (x)" in text

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments import EXPERIMENTS, fleet_resilience
+from repro.experiments import fleet_resilience
 from repro.fleet import home_shard
+from repro.runner import REGISTRY, format_tables
 
 pytestmark = pytest.mark.fleet
 
@@ -78,15 +79,10 @@ class TestRunTrial:
 
 class TestDriver:
     def test_registered(self):
-        assert EXPERIMENTS["fleet_resilience"] is fleet_resilience
-        assert fleet_resilience.SPEC.experiment_id == "fleet_resilience"
-
-    def test_run_returns_one_value_per_trial(self):
-        values = fleet_resilience.run(trials=2, **SMALL)
-        assert [v["trial"] for v in values] == [0, 1]
+        assert REGISTRY.get("fleet_resilience") is fleet_resilience.SPEC
 
     def test_format_table_shows_all_panels(self, trial):
-        text = fleet_resilience.format_table([trial])
+        text = format_tables(fleet_resilience.build_tables([trial]))
         assert "fleet_resilience" in text
         assert "health transition" in text.lower()
         assert "slo" in text.lower()

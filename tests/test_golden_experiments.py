@@ -8,6 +8,9 @@ Three execution paths must reproduce them byte-for-byte:
 * a parallel run (``jobs=2``, cache off), and
 * a warm-cache run (every point served from disk).
 
+The tables round their numbers, so the same three paths must also agree
+on each experiment's full-precision result.
+
 To regenerate the fixtures after an intentional model change::
 
     PYTHONPATH=src python -m pytest tests/test_golden_experiments.py \
@@ -18,13 +21,15 @@ then inspect the diff of ``tests/goldens/`` like any other code change.
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import repro.experiments
 from repro.config import RunnerConfig, pimnet_sim_system
-from repro.experiments import EXPERIMENTS
 from repro.runner import REGISTRY, run_experiment, tables_to_jsonable
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -144,8 +149,34 @@ def test_schedule_cache_cold_and_warm_match_golden(
     _assert_matches_golden(warm, experiment_id)
 
 
+@pytest.mark.parametrize("experiment_id", PARAMS)
+def test_result_is_identical_across_execution_paths(
+    experiment_id, golden_machine, update_goldens, tmp_path
+):
+    if update_goldens:
+        pytest.skip("fixture regeneration uses the serial path only")
+    cache_dir = str(tmp_path / "cache")
+
+    def result(**runner):
+        return run_experiment(
+            experiment_id, golden_machine, RunnerConfig(**runner)
+        ).result
+
+    serial = result(jobs=1, cache_enabled=False)
+    assert result(jobs=2, cache_dir=cache_dir) == serial
+    assert result(jobs=1, cache_dir=cache_dir) == serial  # warm
+
+
 def test_registry_covers_every_experiment_module():
-    assert set(ALL_IDS) == set(EXPERIMENTS)
+    """Every driver module registers a spec, so ``repro run`` sees it."""
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        if info.name == "common":
+            continue
+        module = importlib.import_module(f"repro.experiments.{info.name}")
+        spec = getattr(module, "SPEC", None)
+        assert spec is not None, f"{info.name} registers no SPEC"
+        assert spec.experiment_id in ALL_IDS, info.name
+        assert REGISTRY.get(spec.experiment_id) is spec, info.name
 
 
 def test_every_experiment_has_a_golden_fixture():

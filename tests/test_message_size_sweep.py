@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.collectives import Collective
 from repro.experiments import message_size_sweep
+from repro.runner import format_tables
+
+from .conftest import experiment_result
 
 
 @pytest.fixture(scope="module")
-def allreduce():
-    return message_size_sweep.run(Collective.ALL_REDUCE)
+def panels():
+    return experiment_result("size_sweep")
+
+
+@pytest.fixture(scope="module")
+def allreduce(panels):
+    return panels[0]
 
 
 class TestSweepStructure:
@@ -38,8 +45,8 @@ class TestRegimes:
     def test_pimnet_wins_at_every_size(self, allreduce):
         assert all(s > 1 for s in allreduce.speedup_series()["P"])
 
-    def test_alltoall_gain_smaller_everywhere(self, allreduce):
-        a2a = message_size_sweep.run(Collective.ALL_TO_ALL)
+    def test_alltoall_gain_smaller_everywhere(self, allreduce, panels):
+        a2a = panels[1]
         ar_speedups = allreduce.speedup_series()["P"]
         a2a_speedups = a2a.speedup_series()["P"]
         # compare at bandwidth-dominated sizes (small ones are
@@ -48,7 +55,7 @@ class TestRegimes:
 
 
 class TestFormatting:
-    def test_table_renders(self, allreduce):
-        text = message_size_sweep.format_table(allreduce)
+    def test_table_renders(self, panels):
+        text = format_tables(message_size_sweep.build_tables(panels))
         assert "Size sweep" in text
         assert "1024 KiB" in text

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.experiments import noc_load_latency
+from repro.runner import format_tables
+
+from .conftest import experiment_result
 
 
 @pytest.fixture(scope="module")
 def result():
-    return noc_load_latency.run()
+    return experiment_result("noc_load_latency")
 
 
 class TestLoadLatencyCurve:
@@ -25,10 +28,10 @@ class TestLoadLatencyCurve:
         assert comp[0] > comp[-1]
 
     def test_deterministic(self):
-        a = noc_load_latency.run(seed=3)
-        b = noc_load_latency.run(seed=3)
+        a = experiment_result("noc_load_latency", seed=3)
+        b = experiment_result("noc_load_latency", seed=3)
         assert a.mean_latency_cycles == b.mean_latency_cycles
 
     def test_format(self, result):
-        text = noc_load_latency.format_table(result)
+        text = format_tables(noc_load_latency.build_tables(result))
         assert "load-latency" in text

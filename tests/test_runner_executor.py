@@ -24,7 +24,6 @@ from repro.runner import (
     ExperimentSpec,
     SweepPoint,
     run_experiment,
-    run_experiments,
 )
 
 needs_fork = pytest.mark.skipif(
@@ -327,17 +326,6 @@ class TestSeedOverride:
         seeded = run_experiment("toy_squares", machine, _no_cache(), seed=5)
         assert seeded.tables == plain.tables
         assert seeded.seed == 5
-
-
-class TestRunExperiments:
-    def test_runs_in_given_order(self, machine):
-        runs = run_experiments(
-            ["toy_shuffled", "toy_squares"], machine, _no_cache()
-        )
-        assert [r.experiment_id for r in runs] == [
-            "toy_shuffled", "toy_squares",
-        ]
-        assert all(r.tables[0].rows == EXPECTED_ROWS for r in runs)
 
 
 class TestWorkerMetricsMerge:
