@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from ..collectives.backend import registry
 from ..config.presets import MachineConfig, pimnet_sim_system
 from ..config.network import HostLinkConfig
-from ..config.system import PimSystemConfig
 from ..errors import ConfigurationError
 from ..observability import (
     LogBucketSketch,

@@ -53,6 +53,7 @@ from .config.units import check_number, parse_bytes
 from .errors import ConfigurationError, ReproError
 from .observability import (
     Instrumentation,
+    MetricsRegistry,
     active_metrics,
     active_tracer,
     build_instrumentation,
@@ -60,6 +61,7 @@ from .observability import (
     format_span_tree,
     load_objectives,
     trace_span,
+    use_metrics,
 )
 from .runner.cache import ResultCache
 from .runner.spec import format_tables
@@ -270,7 +272,7 @@ def _configure_run(args) -> tuple[list[str], RunnerConfig]:
     )
 
 
-def _execute_run(args, config) -> tuple[RunnerConfig, int, int]:
+def _execute_run(args, config) -> tuple[RunnerConfig, int, int, dict]:
     from .runner import run_experiment
 
     keys, runner = config
@@ -279,32 +281,41 @@ def _execute_run(args, config) -> tuple[RunnerConfig, int, int]:
         print(f"cleared {removed} cached result(s)", file=sys.stderr)
     attrs = {} if args.seed is None else {"seed": args.seed}
     hits = misses = 0
-    for key in keys:
-        with trace_span(f"experiment/{key}", category="experiment", **attrs):
-            run = run_experiment(key, runner=runner, seed=args.seed)
-        # Print as each experiment finishes: `run all` takes minutes.
-        print(run.format())
-        print()
-        hits += run.cache_hits
-        misses += run.cache_misses
-    return runner, hits, misses
+    # The schedcache line counts this run's work only, workers included
+    # (the executor merges their registries into the active one).
+    registry = active_metrics() or MetricsRegistry()
+    with use_metrics(registry):
+        for key in keys:
+            with trace_span(
+                f"experiment/{key}", category="experiment", **attrs
+            ):
+                run = run_experiment(key, runner=runner, seed=args.seed)
+            # Print as each experiment finishes: `run all` takes minutes.
+            print(run.format())
+            print()
+            hits += run.cache_hits
+            misses += run.cache_misses
+    schedcache = {
+        name: int(registry.counters[f"schedcache.{name}"].value)
+        if f"schedcache.{name}" in registry.counters else 0
+        for name in ("schedule.hits", "schedule.misses", "timing.replays")
+    }
+    return runner, hits, misses, schedcache
 
 
 def _run_text(args, result) -> str:
-    from .schedcache import active_schedule_cache
-
-    runner, hits, misses = result
+    runner, hits, misses, schedcache = result
     lines = []
     if args.seed is not None:
         lines.append(f"seed: {args.seed}")
     if runner.cache_enabled:
         lines.append(f"cache: {hits} hit(s), {misses} miss(es)")
-    sc = active_schedule_cache().counters
-    if sc.schedule_hits or sc.schedule_misses or sc.timing_replays:
+    if any(schedcache.values()):
+        replays = schedcache["timing.replays"]
         lines.append(
-            f"schedcache: {sc.schedule_hits + sc.timing_replays} hit(s) "
-            f"({sc.timing_replays} profile replay(s)), "
-            f"{sc.schedule_misses} compile(s)"
+            f"schedcache: {schedcache['schedule.hits'] + replays} hit(s) "
+            f"({replays} profile replay(s)), "
+            f"{schedcache['schedule.misses']} compile(s)"
         )
     return "\n".join(lines)
 
@@ -686,56 +697,49 @@ def _service_text(args, result) -> str:
     return f"seed: {args.seed}\n{format_tables(tables)}"
 
 
-def _configure_fleet(args) -> None:
-    """Validate the fleet the options describe through FleetConfig."""
-    from .config.fleet import FleetConfig, kill_shard_outage
+def _configure_fleet(args):
+    """The fleet the options describe: ``fleet bench``'s trial config;
+    ``fleet status`` only checks its options."""
+    from .experiments import fleet_resilience
     from .experiments.tenant_service_load import check_load
 
-    kills = sorted(set(args.kill_shard or ()))
     if args.fleet_command == "status":
+        check_number(args.shards, "fleet shards", ConfigurationError,
+                     integer=True, at_least=1)
         check_number(args.tenants, "tenants", ConfigurationError,
                      integer=True, at_least=0)
-        outages = [kill_shard_outage(shard, 0) for shard in kills]
-    else:
-        if len(args.kill_shard or ()) > 1:
-            raise ConfigurationError(
-                f"fleet {args.fleet_command} kills at most one shard, "
-                f"got --kill-shard {args.kill_shard}"
-            )
-        check_load(args.tenants, args.requests, args.concurrency,
-                   args.timeout)
-        # Without --kill-shard the busiest shard dies, which is known
-        # only once tenants are assigned; shard 0 stands in for it so
-        # the kill timing is still checked here.
-        outages = [
-            kill_shard_outage(
-                kills[0] if kills else 0,
-                args.kill_after or 0,
-                args.outage_duration or 0,
-            )
-        ]
-    FleetConfig(
-        shards=args.shards,
-        max_reroutes=getattr(args, "max_reroutes", 2),
-        outages=tuple(outages),
-    )
-
-
-def _fleet_bench(args, config) -> dict:
-    """One deterministic fleet trial with an optional mid-run kill."""
-    from .experiments import fleet_resilience
-
-    value = fleet_resilience.run_trial(
-        trial=0,
+        for shard in args.kill_shard or ():
+            check_number(shard, "kill shard", ConfigurationError,
+                         integer=True, at_least=0, at_most=args.shards - 1)
+        return None
+    if len(args.kill_shard or ()) > 1:
+        raise ConfigurationError(
+            f"fleet {args.fleet_command} kills at most one shard, "
+            f"got --kill-shard {args.kill_shard}"
+        )
+    check_load(args.tenants, args.requests, args.concurrency, args.timeout)
+    return fleet_resilience.fleet_config(
         seed=args.seed,
         shards=args.shards,
         tenants=args.tenants,
         requests_per_tenant=args.requests,
-        concurrency=args.concurrency,
         kill_shard=args.kill_shard[0] if args.kill_shard else None,
         kill_after=args.kill_after,
         outage_duration=args.outage_duration,
         max_reroutes=args.max_reroutes,
+    )
+
+
+def _fleet_bench(args, config) -> dict:
+    """One deterministic fleet trial with a mid-run kill."""
+    from .experiments import fleet_resilience
+
+    value = fleet_resilience.run_trial(
+        config,
+        seed=args.seed,
+        tenants=args.tenants,
+        requests_per_tenant=args.requests,
+        concurrency=args.concurrency,
         timeout_s=args.timeout,
     )
     params = {
@@ -965,12 +969,12 @@ _FLEET_BENCH_ARGUMENTS = {
     "--requests": _int(48, "requests per tenant"),
     "--concurrency": _int(4, "closed-loop outstanding requests per tenant"),
     "--kill-after": _int(
-        None, "fleet submissions before the kill (default: a third of the "
-        "total)"
+        None, "fleet submissions before the kill, at most tenants x "
+        "requests (default: a third of the total)"
     ),
     "--outage-duration": _int(
-        None, "submissions the shard stays down (default: a third of the "
-        "total)"
+        None, "submissions the shard stays down, 0 for the rest of the "
+        "run (default: a third of the total)"
     ),
     "--max-reroutes": _int(2, "extra shards to try after the first choice"),
 }

@@ -17,7 +17,6 @@ real-hardware effects degrade it beyond pure serialization:
 
 from __future__ import annotations
 
-from ..config.presets import MachineConfig
 from .backend import registry
 from .host_path import HostMediatedBackend, HostPathRates
 

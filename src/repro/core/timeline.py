@@ -18,7 +18,6 @@ from ..errors import ScheduleError
 from ..observability import metric_histogram, trace_span
 from .addressing import AllReduceAddressGenerator
 from .pimnet import PimnetBackend
-from .schedule import Shape
 
 
 @dataclass(frozen=True)

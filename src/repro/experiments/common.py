@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from ..config.presets import MachineConfig, pimnet_sim_system
-from ..config.system import PimSystemConfig
 from ..errors import ReproError
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..collectives.patterns import Collective, CollectiveRequest
+from ..collectives.patterns import Collective
 from ..config.presets import MachineConfig
 from ..config.units import transfer_time
 from ..errors import ReproError

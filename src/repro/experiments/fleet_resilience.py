@@ -22,24 +22,13 @@ byte-identical serial, parallel, and warm-cache.
 
 from __future__ import annotations
 
-import asyncio
-import random
 from typing import Any
 
-import numpy as np
-
-from ..collectives.patterns import Collective, CollectiveRequest, ReduceOp
 from ..config.fleet import FleetConfig, kill_shard_outage
 from ..config.presets import MachineConfig
-from ..config.service import (
-    ServiceConfig,
-    TenantQuotaConfig,
-    TimeSlotConfig,
-)
-from ..errors import FleetError
+from ..errors import ConfigurationError, FleetError
 from ..faults.campaign import trial_seed
 from ..fleet import (
-    FleetResponse,
     FleetRouter,
     default_fleet_objectives,
     fleet_assignment,
@@ -47,14 +36,23 @@ from ..fleet import (
 )
 from ..observability import (
     MetricsRegistry,
+    SloObjective,
     active_metrics,
     evaluate_slos,
     use_metrics,
 )
 from ..runner.registry import register_experiment
 from ..runner.spec import SweepPoint
-from .common import ExperimentTable
-from .tenant_service_load import TenantSpec, check_load
+from .common import ExperimentTable, default_machine
+from .tenant_service_load import (
+    P99_SLO_S,
+    check_load,
+    closed_loop,
+    run_bounded,
+    service_config,
+    tenant_names,
+    tenant_specs,
+)
 
 DEFAULTS = {
     "shards": 3,
@@ -64,72 +62,6 @@ DEFAULTS = {
     "seed": 23,
     "trials": 3,
 }
-
-#: Per-tenant p99 latency bound (simulated seconds) on the home shard.
-P99_SLO_S = 50e-3
-
-_CC_MULTIPLIERS = (6, 12, 24, 48)
-_EMB_MULTIPLIERS = (4, 8, 16, 32)
-
-
-def tenant_names(tenants: int) -> tuple[str, ...]:
-    """The synthetic tenant names (fig17 workload pair, alternating)."""
-    return tuple(
-        f"cc-{index}" if index % 2 == 0 else f"emb-{index}"
-        for index in range(tenants)
-    )
-
-
-def _tenant_specs(
-    num_dpus: int, tenants: int, requests_per_tenant: int, seed: int
-) -> tuple[TenantSpec, ...]:
-    """Seeded request streams, the fig17 workload pair per tenant."""
-    specs = []
-    names = tenant_names(tenants)
-    for index in range(tenants):
-        if index % 2 == 0:
-            pattern = Collective.ALL_REDUCE
-            dtype = np.dtype(np.int64)
-            op = ReduceOp.MIN
-            multipliers = _CC_MULTIPLIERS
-        else:
-            pattern = Collective.REDUCE_SCATTER
-            dtype = np.dtype(np.int32)
-            op = ReduceOp.SUM
-            multipliers = _EMB_MULTIPLIERS
-        name = names[index]
-        quantum = num_dpus * dtype.itemsize
-        rng = random.Random(seed * 7919 + index)
-        requests = tuple(
-            CollectiveRequest(
-                pattern=pattern,
-                payload_bytes=quantum * rng.choice(multipliers),
-                dtype=dtype,
-                op=op,
-            )
-            for _ in range(requests_per_tenant)
-        )
-        specs.append(TenantSpec(name=name, pattern=pattern, requests=requests))
-    return tuple(specs)
-
-
-def _service_config() -> ServiceConfig:
-    """The tenant_service_load two-slot cycle, per shard."""
-    return ServiceConfig(
-        slots=(
-            TimeSlotConfig(
-                "all_reduce", ("all_reduce",),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-            TimeSlotConfig(
-                "reduce_scatter", ("reduce_scatter",),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-        ),
-        switch_time_s=20e-6,
-        queue_limit=64,
-        default_quota=TenantQuotaConfig(max_queued=8, max_per_slot=4),
-    )
 
 
 def busiest_shard(assignment: dict[str, int], shards: int) -> int:
@@ -144,101 +76,87 @@ def busiest_shard(assignment: dict[str, int], shards: int) -> int:
     return max(range(shards), key=lambda i: (loads[i], -i))
 
 
-async def _drive(
-    config: FleetConfig,
-    machine: MachineConfig,
-    specs: tuple[TenantSpec, ...],
-    concurrency: int,
-) -> tuple[dict, dict[str, list[FleetResponse]], MetricsRegistry]:
-    async with FleetRouter(config, machine) as fleet:
-        responses: dict[str, list[FleetResponse]] = {
-            spec.name: [] for spec in specs
-        }
-
-        async def tenant_driver(spec: TenantSpec) -> None:
-            limiter = asyncio.Semaphore(concurrency)
-
-            async def paced(request: CollectiveRequest) -> None:
-                async with limiter:
-                    responses[spec.name].append(
-                        await fleet.submit(spec.name, request)
-                    )
-
-            await asyncio.gather(*(paced(r) for r in spec.requests))
-
-        await asyncio.gather(*(tenant_driver(spec) for spec in specs))
-        await fleet.drain()
-        return fleet.stats(), responses, fleet.merged_metrics()
-
-
-def run_trial(
-    machine: MachineConfig | None = None,
+def fleet_config(
     trial: int = 0,
     seed: int = DEFAULTS["seed"],
     shards: int = DEFAULTS["shards"],
     tenants: int = DEFAULTS["tenants"],
     requests_per_tenant: int = DEFAULTS["requests_per_tenant"],
-    concurrency: int = DEFAULTS["concurrency"],
     kill_shard: int | None = None,
     kill_after: int | None = None,
     outage_duration: int | None = None,
     max_reroutes: int = 2,
+) -> FleetConfig:
+    """The fleet of one trial: ``shards`` copies of the
+    :func:`~.tenant_service_load.service_config` cycle and one kill.
+
+    By default the busiest shard dies a third of the way through the
+    run's submissions and revives a third later; ``outage_duration=0``
+    keeps it down.  A kill past the run's last submission never fires,
+    so it is rejected.
+    """
+    total = tenants * requests_per_tenant
+    after = kill_after if kill_after is not None else total // 3
+    if after > total:
+        raise ConfigurationError(
+            f"kill after {after} submissions never fires: the run makes "
+            f"only {total} ({tenants} tenant(s) x {requests_per_tenant})"
+        )
+    if kill_shard is None:
+        names = tenant_names(tenants)
+        kill_shard = busiest_shard(fleet_assignment(names, shards), shards)
+    return FleetConfig(
+        shards=shards,
+        service=service_config(),
+        max_reroutes=max_reroutes,
+        outages=(
+            kill_shard_outage(
+                kill_shard,
+                after,
+                outage_duration if outage_duration is not None else total // 3,
+                seed=trial_seed(seed, trial),
+            ),
+        ),
+    )
+
+
+def run_trial(
+    config: FleetConfig,
+    machine: MachineConfig | None = None,
+    trial: int = 0,
+    seed: int = DEFAULTS["seed"],
+    tenants: int = DEFAULTS["tenants"],
+    requests_per_tenant: int = DEFAULTS["requests_per_tenant"],
+    concurrency: int = DEFAULTS["concurrency"],
     timeout_s: float | None = None,
 ) -> dict[str, Any]:
-    """One deterministic fleet run with a mid-run kill/revive.
+    """One deterministic run of a :func:`fleet_config` fleet, whose one
+    outage plan is the trial's kill.
 
     Returns a JSON-able summary (the sweep-point value): fleet stats
     with the health-transition log, per-tenant outcome counts and
     latency quantiles, and the SLO report against the merged metrics.
     """
-    from .common import default_machine
-
     check_load(tenants, requests_per_tenant, concurrency, timeout_s)
     machine = machine or default_machine()
+    (outage,) = config.outages
     effective_seed = trial_seed(seed, trial)
-    num_dpus = (
-        machine.system.banks_per_chip
-        * machine.system.chips_per_rank
-        * machine.system.ranks_per_channel
-    )
-    specs = _tenant_specs(
-        num_dpus, tenants, requests_per_tenant, effective_seed
-    )
-    assignment = fleet_assignment([s.name for s in specs], shards)
-    killed = kill_shard if kill_shard is not None else busiest_shard(
-        assignment, shards
-    )
-    total = tenants * requests_per_tenant
-    after = kill_after if kill_after is not None else total // 3
-    duration = outage_duration if outage_duration is not None else total // 3
-    config = FleetConfig(
-        shards=shards,
-        service=_service_config(),
-        max_reroutes=max_reroutes,
-        outages=(
-            kill_shard_outage(
-                killed, after, duration, seed=effective_seed
-            ),
-        ),
-    )
+    specs = tenant_specs(machine, tenants, requests_per_tenant, effective_seed)
+    assignment = fleet_assignment([s.name for s in specs], config.shards)
+
+    async def serve():
+        async with FleetRouter(config, machine) as fleet:
+            responses = await closed_loop(
+                fleet, {s.name: s.requests for s in specs}, concurrency
+            )
+            return fleet.stats(), responses, fleet.merged_metrics()
 
     outer = active_metrics()
     registry = MetricsRegistry()
     with use_metrics(registry):
-        coroutine = _drive(config, machine, specs, concurrency)
-        if timeout_s is not None:
-            async def _bounded():
-                return await asyncio.wait_for(coroutine, timeout_s)
-            try:
-                stats, responses, merged = asyncio.run(_bounded())
-            except asyncio.TimeoutError:
-                raise FleetError(
-                    f"fleet_resilience did not finish within "
-                    f"{timeout_s:g}s of wall clock — the event loop is "
-                    "likely deadlocked"
-                ) from None
-        else:
-            stats, responses, merged = asyncio.run(coroutine)
+        stats, responses, merged = run_bounded(
+            serve(), timeout_s, FleetError, "fleet_resilience"
+        )
         # Fold the fleet view (router + shard registries) into the run
         # registry so fleet.* families flow to the active outer registry
         # exactly like the service.* families the shards recorded.
@@ -246,7 +164,7 @@ def run_trial(
         unaffected = {
             tenant: home
             for tenant, home in assignment.items()
-            if home != killed
+            if home != outage.shard
         }
         slo = evaluate_slos(
             registry, default_fleet_objectives(unaffected, P99_SLO_S)
@@ -254,6 +172,7 @@ def run_trial(
     if outer is not None:
         outer.merge(registry)
 
+    total = tenants * requests_per_tenant
     resolved = (
         stats["admitted"] + stats["rerouted"]
         + stats["rejected"] + stats["failed"]
@@ -286,9 +205,9 @@ def run_trial(
     return {
         "trial": trial,
         "trial_seed": effective_seed,
-        "killed_shard": killed,
-        "kill_after": after,
-        "revive_after": after + duration,
+        "killed_shard": outage.shard,
+        "kill_after": outage.after_submissions,
+        "revive_after": outage.revive_at,
         "stats": stats,
         "tenants": tenant_summaries,
         "slo": slo.to_dict(),
@@ -296,22 +215,11 @@ def run_trial(
 
 
 def _point(
-    machine: MachineConfig,
-    trial: int,
-    seed: int,
-    shards: int,
-    tenants: int,
-    requests_per_tenant: int,
-    concurrency: int,
+    machine: MachineConfig, shards: int, concurrency: int, **load: int
 ) -> dict[str, Any]:
     return run_trial(
-        machine,
-        trial=trial,
-        seed=seed,
-        shards=shards,
-        tenants=tenants,
-        requests_per_tenant=requests_per_tenant,
-        concurrency=concurrency,
+        fleet_config(shards=shards, **load), machine,
+        concurrency=concurrency, **load,
     )
 
 
@@ -352,23 +260,10 @@ def build_tables(values: "list[dict] | tuple[dict, ...]") -> tuple[
                 )
             )
         for check in value["slo"]["checks"]:
-            objective = check["objective"]
-            label = objective.get("name") or (
-                f"{objective['stat']}({objective['metric']}"
-                + (
-                    "{" + ",".join(
-                        f"{k}={v}" for k, v in sorted(
-                            objective.get("labels", {}).items()
-                        )
-                    ) + "}"
-                    if objective.get("labels") else ""
-                )
-                + f") {objective['op']} {objective['threshold']:g}"
-            )
             slo_rows.append(
                 (
                     str(trial),
-                    label,
+                    SloObjective.from_dict(check["objective"]).describe(),
                     "n/a" if check["observed"] is None
                     else f"{check['observed']:g}",
                     "ok" if check["passed"] else "FAIL",

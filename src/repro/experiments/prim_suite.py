@@ -19,14 +19,10 @@ schedule-cache paths like every other experiment.
 
 from __future__ import annotations
 
-import asyncio
+from dataclasses import replace
 
 from ..config.presets import MachineConfig
-from ..config.service import (
-    ServiceConfig,
-    TenantQuotaConfig,
-    TimeSlotConfig,
-)
+from ..config.service import ServiceConfig, TimeSlotConfig
 from ..errors import WorkloadError
 from ..observability import MetricsRegistry, use_metrics
 from ..runner.registry import register_experiment
@@ -41,6 +37,12 @@ from ..workloads import (
 from ..workloads.base import collective_volume, comm_trace
 from .common import ExperimentTable
 from .fig10_applications import app_from_jsonable, app_to_jsonable
+from .tenant_service_load import (
+    check_served,
+    closed_loop,
+    run_bounded,
+    service_config,
+)
 
 BACKEND_ORDER = ("B", "S", "N", "D", "P")
 
@@ -80,43 +82,18 @@ def _workload_point(machine: MachineConfig, workload: str) -> dict:
 
 
 def _service_config() -> ServiceConfig:
-    """Two-slot cycle covering the tier's four patterns: the reducing /
-    one-to-all half (AR, BC) and the gathering half (AG, G)."""
-    return ServiceConfig(
-        slots=(
-            TimeSlotConfig(
-                "reduce-bcast", ("all_reduce", "broadcast"),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-            TimeSlotConfig(
-                "gather", ("all_gather", "gather"),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-        ),
-        switch_time_s=20e-6,
-        queue_limit=64,
-        default_quota=TenantQuotaConfig(max_queued=8, max_per_slot=4),
+    """The fig17 mix's cycle regrouped over the tier's four patterns:
+    the reducing / one-to-all half (AR, BC) and the gathering half
+    (AG, G)."""
+    halves = (
+        ("reduce-bcast", ("all_reduce", "broadcast")),
+        ("gather", ("all_gather", "gather")),
     )
-
-
-async def _drive_mix(
-    machine: MachineConfig, streams: dict[str, tuple]
-) -> dict:
-    async with CollectiveService(machine, _service_config()) as service:
-        async def tenant_driver(name: str, requests: tuple) -> None:
-            limiter = asyncio.Semaphore(SERVICE_CONCURRENCY)
-
-            async def one(request) -> None:
-                async with limiter:
-                    await service.submit(name, request)
-
-            await asyncio.gather(*(one(r) for r in requests))
-
-        await asyncio.gather(
-            *(tenant_driver(n, rs) for n, rs in streams.items())
-        )
-        await service.drain()
-        return service.stats()
+    return replace(service_config(), slots=tuple(
+        TimeSlotConfig(name, patterns, time_window_s=500e-6,
+                       max_multiplexing=2)
+        for name, patterns in halves
+    ))
 
 
 def _service_point(machine: MachineConfig) -> dict:
@@ -130,15 +107,15 @@ def _service_point(machine: MachineConfig) -> dict:
             if hasattr(phase, "request")
         )
         streams[key] = one_pass * SERVICE_TRACE_REPEATS
+
+    async def serve() -> dict:
+        async with CollectiveService(machine, _service_config()) as service:
+            await closed_loop(service, streams, SERVICE_CONCURRENCY)
+            return service.stats()
+
     with use_metrics(MetricsRegistry()):
-        stats = asyncio.run(_drive_mix(machine, streams))
-    total = stats["submitted"]
-    accounted = stats["admitted"] + stats["rejected"]
-    if total != accounted or stats["queued"] != 0:
-        raise WorkloadError(
-            f"service mix lost requests: submitted={total}, "
-            f"admitted+rejected={accounted}, queued={stats['queued']}"
-        )
+        stats = run_bounded(serve(), None, WorkloadError, "prim_suite")
+    check_served(stats, sum(map(len, streams.values())), WorkloadError)
     return {
         "submitted": stats["submitted"],
         "admitted": stats["admitted"],

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
+from typing import Any, Coroutine, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from ..config.presets import MachineConfig
 from ..config.service import (
     ServiceConfig,
     TenantQuotaConfig,
-    TimeSlotConfig,
+    default_service_config,
 )
 from ..errors import ConfigurationError, ServiceError
 from ..observability import (
@@ -40,7 +41,7 @@ from ..observability import (
     use_metrics,
 )
 from ..runner.registry import register_monolithic
-from ..service import SERVICE_SUBSTRATE, CollectiveService, ServiceResponse
+from ..service import SERVICE_SUBSTRATE, CollectiveService
 from .common import ExperimentTable, default_machine
 
 DEFAULTS = {
@@ -84,26 +85,33 @@ class TenantServiceLoadResult:
     slo: SloReport
 
 
-def _tenant_specs(
-    num_dpus: int, tenants: int, requests_per_tenant: int, seed: int
+def tenant_names(tenants: int) -> tuple[str, ...]:
+    """The synthetic tenant names (fig17 workload pair, alternating)."""
+    return tuple(
+        f"cc-{index}" if index % 2 == 0 else f"emb-{index}"
+        for index in range(tenants)
+    )
+
+
+def tenant_specs(
+    machine: MachineConfig, tenants: int, requests_per_tenant: int, seed: int
 ) -> tuple[TenantSpec, ...]:
+    """Seeded request streams, the fig17 workload pair per tenant."""
     specs = []
-    for index in range(tenants):
+    for index, name in enumerate(tenant_names(tenants)):
         if index % 2 == 0:
-            name = f"cc-{index}"
             pattern = Collective.ALL_REDUCE
             dtype = np.dtype(np.int64)
             op = ReduceOp.MIN
             multipliers = _CC_MULTIPLIERS
         else:
-            name = f"emb-{index}"
             pattern = Collective.REDUCE_SCATTER
             dtype = np.dtype(np.int32)
             op = ReduceOp.SUM
             multipliers = _EMB_MULTIPLIERS
         # Payloads aligned to num_dpus * itemsize so every request is
         # schedulable and prices through the cached-profile replay path.
-        quantum = num_dpus * dtype.itemsize
+        quantum = machine.system.banks_per_channel * dtype.itemsize
         rng = random.Random(seed * 7919 + index)
         requests = tuple(
             CollectiveRequest(
@@ -138,63 +146,99 @@ def check_load(
         raise ConfigurationError(f"timeout must be > 0 s, got {timeout_s:g}")
 
 
-def _service_config() -> ServiceConfig:
+def service_config() -> ServiceConfig:
     """Two-slot cycle (one per workload pattern).  The 500us window
     fits a handful of requests per occurrence at the payload sizes of
-    :func:`_tenant_specs` (9-436us each), so the closed-loop drivers
+    :func:`tenant_specs` (9-436us each), so the closed-loop drivers
     keep the queue busy without starving anyone."""
-    return ServiceConfig(
-        slots=(
-            TimeSlotConfig(
-                "all_reduce", ("all_reduce",),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-            TimeSlotConfig(
-                "reduce_scatter", ("reduce_scatter",),
-                time_window_s=500e-6, max_multiplexing=2,
-            ),
-        ),
+    return default_service_config(
+        ("all_reduce", "reduce_scatter"),
+        time_window_s=500e-6,
         switch_time_s=20e-6,
+        max_multiplexing=2,
         queue_limit=64,
         default_quota=TenantQuotaConfig(max_queued=8, max_per_slot=4),
     )
 
 
-async def _drive(
-    machine: MachineConfig,
-    config: ServiceConfig,
-    specs: tuple[TenantSpec, ...],
+async def closed_loop(
+    target: Any,
+    streams: Mapping[str, Sequence[CollectiveRequest]],
     concurrency: int,
-) -> tuple[dict, dict[str, list[ServiceResponse]]]:
-    async with CollectiveService(machine, config) as service:
-        responses: dict[str, list[ServiceResponse]] = {
-            spec.name: [] for spec in specs
-        }
+    burst: int = 0,
+) -> dict[str, list]:
+    """Drive ``target`` -- a :class:`~repro.service.CollectiveService`
+    or a :class:`~repro.fleet.FleetRouter` -- closed-loop and drain it.
 
-        async def tenant_driver(spec: TenantSpec) -> None:
-            async def one(request: CollectiveRequest) -> None:
-                responses[spec.name].append(
-                    await service.submit(spec.name, request)
-                )
+    Each tenant fires its first ``burst`` requests at once, then keeps
+    ``concurrency`` requests outstanding.  Returns each tenant's
+    responses in completion order.
+    """
+    responses: dict[str, list] = {name: [] for name in streams}
 
-            # Opening burst: everything at once, past the tenant quota,
-            # so overload produces explicit rejections (never drops).
-            burst, steady = spec.requests[:BURST], spec.requests[BURST:]
-            await asyncio.gather(*(one(r) for r in burst))
+    async def tenant_driver(
+        name: str, requests: Sequence[CollectiveRequest]
+    ) -> None:
+        async def one(request: CollectiveRequest) -> None:
+            responses[name].append(await target.submit(name, request))
 
-            # Steady state: a closed loop with `concurrency` requests
-            # outstanding — backpressure through pacing, not rejection.
-            limiter = asyncio.Semaphore(concurrency)
+        # Opening burst: everything at once, past the tenant quota,
+        # so overload produces explicit rejections (never drops).
+        if burst:
+            await asyncio.gather(*(one(r) for r in requests[:burst]))
 
-            async def paced(request: CollectiveRequest) -> None:
-                async with limiter:
-                    await one(request)
+        # Steady state: a closed loop with `concurrency` requests
+        # outstanding — backpressure through pacing, not rejection.
+        limiter = asyncio.Semaphore(concurrency)
 
-            await asyncio.gather(*(paced(r) for r in steady))
+        async def paced(request: CollectiveRequest) -> None:
+            async with limiter:
+                await one(request)
 
-        await asyncio.gather(*(tenant_driver(spec) for spec in specs))
-        await service.drain()
-        return service.stats(), responses
+        await asyncio.gather(*(paced(r) for r in requests[burst:]))
+
+    await asyncio.gather(
+        *(tenant_driver(name, requests) for name, requests in streams.items())
+    )
+    await target.drain()
+    return responses
+
+
+def run_bounded(
+    coroutine: Coroutine[Any, Any, Any],
+    timeout_s: float | None,
+    error: type[Exception],
+    what: str,
+) -> Any:
+    """``asyncio.run(coroutine)``; with ``timeout_s``, raise ``error``
+    once that much wall clock passes."""
+    if timeout_s is None:
+        return asyncio.run(coroutine)
+
+    async def bounded() -> Any:
+        return await asyncio.wait_for(coroutine, timeout_s)
+
+    try:
+        return asyncio.run(bounded())
+    except asyncio.TimeoutError:
+        raise error(
+            f"{what} did not finish within {timeout_s:g}s of wall clock — "
+            "the event loop is likely deadlocked"
+        ) from None
+
+
+def check_served(stats: dict, expected: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless the service saw all ``expected``
+    submissions and resolved each one admitted or rejected."""
+    total = stats["submitted"]
+    accounted = stats["admitted"] + stats["rejected"]
+    if total != accounted or stats["queued"] != 0:
+        raise error(
+            f"lost requests: submitted={total}, admitted+rejected="
+            f"{accounted}, queued={stats['queued']}"
+        )
+    if total != expected:
+        raise error(f"driver submitted {total} requests, expected {expected}")
 
 
 def _objectives(specs: tuple[TenantSpec, ...]) -> list[SloObjective]:
@@ -236,47 +280,30 @@ def run(
     """Drive the service closed-loop and gate the result on SLOs."""
     check_load(tenants, requests_per_tenant, concurrency, timeout_s)
     machine = machine or default_machine()
-    config = config or _service_config()
-    num_dpus = (
-        machine.system.banks_per_chip
-        * machine.system.chips_per_rank
-        * machine.system.ranks_per_channel
-    )
-    specs = _tenant_specs(num_dpus, tenants, requests_per_tenant, seed)
+    config = config or service_config()
+    specs = tenant_specs(machine, tenants, requests_per_tenant, seed)
+
+    async def serve() -> dict:
+        async with CollectiveService(machine, config) as service:
+            await closed_loop(
+                service, {s.name: s.requests for s in specs}, concurrency,
+                burst=BURST,
+            )
+            return service.stats()
 
     outer = active_metrics()
     registry = MetricsRegistry()
     with use_metrics(registry):
-        coroutine = _drive(machine, config, specs, concurrency)
-        if timeout_s is not None:
-            async def _bounded():
-                return await asyncio.wait_for(coroutine, timeout_s)
-            try:
-                stats, responses = asyncio.run(_bounded())
-            except asyncio.TimeoutError:
-                raise ServiceError(
-                    f"tenant_service_load did not finish within "
-                    f"{timeout_s:g}s of wall clock — the event loop is "
-                    "likely deadlocked"
-                ) from None
-        else:
-            stats, responses = asyncio.run(coroutine)
+        stats = run_bounded(
+            serve(), timeout_s, ServiceError, "tenant_service_load"
+        )
         slo = evaluate_slos(registry, _objectives(specs))
     if outer is not None:
         outer.merge(registry)
 
-    total = stats["submitted"]
-    accounted = stats["admitted"] + stats["rejected"]
-    if total != accounted or stats["queued"] != 0:
-        raise ServiceError(
-            f"lost requests: submitted={total}, admitted+rejected="
-            f"{accounted}, queued={stats['queued']}"
-        )
-    expected = sum(len(spec.requests) for spec in specs)
-    if total != expected:
-        raise ServiceError(
-            f"driver submitted {total} requests, expected {expected}"
-        )
+    check_served(
+        stats, sum(len(spec.requests) for spec in specs), ServiceError
+    )
 
     tenant_rows = []
     for spec in specs:

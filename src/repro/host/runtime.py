@@ -10,7 +10,7 @@ view, so tests can round-trip real bytes through the whole data path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

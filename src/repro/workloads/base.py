@@ -10,7 +10,7 @@ registered backend, producing the execution breakdowns of Figs 10/11.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..collectives.backend import CollectiveBackend, registry
 from ..collectives.patterns import Collective, CollectiveRequest

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -84,6 +85,21 @@ class TestRun:
         assert main(["run", "fig16", "--no-cache", "--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert serial == parallel
+
+    def test_schedcache_line_counts_this_run_only(self, capsys):
+        # fig13 looks up two schedules per run, serial or parallel.  A
+        # line summing to more counts earlier runs in this process too.
+        for extra in (["--jobs", "2"], [], []):
+            assert main(["run", "fig13", "--no-cache", *extra]) == 0
+            out = capsys.readouterr().out
+            (line,) = [
+                line for line in out.splitlines()
+                if line.startswith("schedcache:")
+            ]
+            hits, compiles = re.match(
+                r"schedcache: (\d+) hit\(s\) .*, (\d+) compile", line
+            ).groups()
+            assert int(hits) + int(compiles) == 2, (extra, line)
 
     def test_invalid_jobs_fails(self, capsys):
         assert main(["run", "table05", "--jobs", "0", "--no-cache"]) == 2
@@ -388,6 +404,8 @@ class TestBadArguments:
             ["serve", "--window", "0"],
             ["fleet", "bench", "--shards", "0"],
             ["fleet", "bench", "--kill-shard", "0", "--kill-shard", "2"],
+            ["fleet", "bench", "--shards", "2", "--tenants", "2",
+             "--requests", "4", "--kill-after", "1000"],
             ["fleet", "status", "--shards", "0"],
             ["fleet", "status", "--tenants", "-1"],
             ["conformance", "shrink", "{spec}"],

@@ -10,7 +10,7 @@ from repro.collectives import (
     host_path_volumes,
     registry,
 )
-from repro.config import pimnet_sim_system, small_test_system
+from repro.config import pimnet_sim_system
 from repro.errors import BackendError, CollectiveError
 
 from .conftest import make_buffers

@@ -1,7 +1,5 @@
 """Multi-channel collective composition."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 

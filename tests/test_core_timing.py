@@ -19,7 +19,6 @@ from repro.core import (
     build_schedule,
     schedule_timing,
 )
-from repro.errors import BackendError
 
 SHAPES = [(8, 8, 4), (4, 4, 2), (2, 2, 2), (8, 8, 1), (1, 4, 4), (2, 8, 4)]
 PATTERNS = [

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError, FleetError
 from repro.experiments import fleet_resilience
 from repro.fleet import home_shard
 from repro.runner import REGISTRY, format_tables
@@ -12,14 +13,24 @@ from repro.runner import REGISTRY, format_tables
 pytestmark = pytest.mark.fleet
 
 #: One small trial shared by most assertions (kill + revive mid-run).
-SMALL = dict(
-    shards=3, tenants=3, requests_per_tenant=12, concurrency=4, seed=5
-)
+SMALL = dict(tenants=3, requests_per_tenant=12, seed=5)
+SHARDS = 3
+
+
+def small_trial(trial=0, timeout_s=None, **outage):
+    """Run trial ``trial`` of the SMALL fleet; ``outage`` overrides the
+    kill defaults of :func:`fleet_resilience.fleet_config`."""
+    config = fleet_resilience.fleet_config(
+        trial=trial, shards=SHARDS, **SMALL, **outage
+    )
+    return fleet_resilience.run_trial(
+        config, trial=trial, concurrency=4, timeout_s=timeout_s, **SMALL
+    )
 
 
 @pytest.fixture(scope="module")
 def trial():
-    return fleet_resilience.run_trial(**SMALL)
+    return small_trial()
 
 
 class TestRunTrial:
@@ -54,27 +65,45 @@ class TestRunTrial:
                 + summary["rejected"] + summary["failed"]
             )
             assert resolved == SMALL["requests_per_tenant"], name
-            assert summary["home"] == home_shard(name, SMALL["shards"])
+            assert summary["home"] == home_shard(name, SHARDS)
 
     def test_trial_is_deterministic(self, trial):
-        again = fleet_resilience.run_trial(**SMALL)
+        again = small_trial()
         assert json.dumps(again, sort_keys=True) == json.dumps(
             trial, sort_keys=True
         )
 
     def test_trials_differ_by_seed(self, trial):
-        other = fleet_resilience.run_trial(trial=1, **SMALL)
+        other = small_trial(trial=1)
         assert other["trial_seed"] != trial["trial_seed"]
 
     def test_result_is_json_serializable(self, trial):
         json.dumps(trial)
 
     def test_explicit_kill_window_is_honoured(self):
-        value = fleet_resilience.run_trial(
-            kill_after=8, outage_duration=12, **SMALL
-        )
+        value = small_trial(kill_after=8, outage_duration=12)
         assert (value["kill_after"], value["revive_after"]) == (8, 20)
         assert value["stats"]["submitted"] == 36
+
+    def test_zero_duration_outage_never_revives(self):
+        value = small_trial(kill_after=8, outage_duration=0)
+        assert value["revive_after"] is None
+        news = [t["new"] for t in value["stats"]["transitions"]]
+        assert news == ["down"]
+        shard = f"shard-{value['killed_shard']}"
+        assert value["stats"]["health"][shard] == "down"
+
+    def test_kill_after_the_last_submission_is_rejected(self):
+        # 36 submissions: a kill at 36 fires on the last one, 37 never.
+        assert fleet_resilience.fleet_config(kill_after=36, **SMALL)
+        with pytest.raises(ConfigurationError, match="never fires"):
+            fleet_resilience.fleet_config(kill_after=37, **SMALL)
+
+    def test_wall_clock_timeout_fails_loudly(self):
+        # The shortest timeout that is still valid: it expires long
+        # before the fleet drains.
+        with pytest.raises(FleetError, match="wall clock"):
+            small_trial(timeout_s=1e-9)
 
 
 class TestDriver:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import Collective, ReduceOp
+from repro.collectives import Collective
 from repro.config import small_test_system
 from repro.dpu import reduce_sum_kernel, vector_add_kernel
 from repro.errors import WorkloadError

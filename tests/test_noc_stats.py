@@ -1,7 +1,5 @@
 """Per-link NoC statistics."""
 
-import pytest
-
 from repro.core import Shape, allreduce_schedule, alltoall_schedule
 from repro.noc import (
     Message,

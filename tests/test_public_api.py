@@ -1,7 +1,6 @@
 """Public API surface: the contract a downstream user imports against."""
 
 import numpy as np
-import pytest
 
 import repro
 from repro import (
@@ -32,17 +31,17 @@ class TestPackageSurface:
             assert name in repro.__all__, name
 
     def test_subpackages_importable(self):
-        import repro.analysis
-        import repro.collectives
-        import repro.config
-        import repro.core
-        import repro.dpu
-        import repro.experiments
-        import repro.host
-        import repro.memory
-        import repro.noc
-        import repro.topology
-        import repro.workloads
+        import repro.analysis  # noqa: F401
+        import repro.collectives  # noqa: F401
+        import repro.config  # noqa: F401
+        import repro.core  # noqa: F401
+        import repro.dpu  # noqa: F401
+        import repro.experiments  # noqa: F401
+        import repro.host  # noqa: F401
+        import repro.memory  # noqa: F401
+        import repro.noc  # noqa: F401
+        import repro.topology  # noqa: F401
+        import repro.workloads  # noqa: F401
 
     def test_subpackage_alls_resolve(self):
         import repro.analysis
