@@ -808,19 +808,32 @@ def _fleet_status_text(args, status) -> str:
 
 
 def _verify(args, config):
-    from .workloads import all_passed, verify_all
+    from .workloads import (
+        WORKLOAD_KEYS, CaseReport, enumerate_cases, run_case,
+        summarize_by_workload,
+    )
 
-    results = verify_all()
-    return results, all_passed(results)
+    reports = []
+    cases = enumerate_cases(
+        keys=WORKLOAD_KEYS, shapes=((2, 2, 2),), scales=("S",)
+    )
+    for case in cases:
+        try:
+            reports.append(run_case(case))
+        except Exception as error:  # noqa: BLE001 - report, don't crash
+            reports.append(CaseReport(
+                case, False, None, None, f"{type(error).__name__}: {error}"
+            ))
+    return summarize_by_workload(reports)
 
 
-def _verify_text(args, result) -> str:
-    results, passed = result
+def _verify_text(args, rows) -> str:
     lines = [
-        f"  {r.workload:6s} {'ok' if r.passed else f'FAIL ({r.detail})'}"
-        for r in results
+        f"  {row['workload']:6s} "
+        + ("ok" if row["status"] == "ok" else f"FAIL ({row['detail']})")
+        for row in rows
     ]
-    if passed:
+    if all(row["status"] == "ok" for row in rows):
         lines.append("all workloads verified against single-node references")
     return "\n".join(lines)
 
@@ -1069,7 +1082,8 @@ def build_parser() -> argparse.ArgumentParser:
     _subcommand(
         sub, "verify",
         "check every workload against its single-node reference",
-        execute=_verify, text=_verify_text, ok=lambda result: result[1],
+        execute=_verify, text=_verify_text,
+        ok=lambda rows: all(row["status"] == "ok" for row in rows),
     )
 
     _subcommand(

@@ -109,6 +109,13 @@ class ConformanceConfig(JsonForm):
         check_number(self.seed, "seed", ConformanceError, integer=True,
                      at_least=0)
 
+    def latency_band(self, analytic_cycles: float) -> tuple[float, float]:
+        """The ``(lower, upper)`` NoC cycle band around ``analytic_cycles``."""
+        slack = self.latency_abs_slack_cycles
+        lower = self.latency_min_ratio * analytic_cycles - slack
+        upper = (1.0 + self.latency_rel_tol) * analytic_cycles + slack
+        return lower, upper
+
     @property
     def num_points(self) -> int:
         return (

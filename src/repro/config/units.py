@@ -32,6 +32,9 @@ NS = 1e-9
 US = 1e-6
 MS = 1e-3
 
+#: One cycle of the flit-level NoC simulator (repro.noc): one nanosecond.
+NOC_CYCLE_S = NS
+
 # --- frequency -------------------------------------------------------------
 KHZ = 1e3
 MHZ = 1e6

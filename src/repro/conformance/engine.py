@@ -34,6 +34,7 @@ from ..collectives.patterns import Collective
 from ..config.conformance import ConformanceConfig
 from ..config.network import PimnetNetworkConfig
 from ..config.runner import DEFAULT_CACHE_DIR
+from ..config.units import NOC_CYCLE_S
 from ..core.schedule import (
     CommSchedule,
     execute_schedule,
@@ -54,9 +55,6 @@ from .mutate import (
     mutate_messages,
     mutate_schedule,
 )
-
-#: 1 simulator cycle = 1 ns (the NoC convention).
-_CYCLE_S = 1e-9
 
 #: Check names in report order.
 CHECKS = ("validators", "functional", "latency", "conservation")
@@ -220,10 +218,8 @@ def _noc_checks(
     analytic_s = sum(
         schedule_timing(schedule, network, itemsize=config.itemsize).values()
     )
-    analytic_cycles = analytic_s / _CYCLE_S
-    slack = config.latency_abs_slack_cycles
-    lower = config.latency_min_ratio * analytic_cycles - slack
-    upper = (1.0 + config.latency_rel_tol) * analytic_cycles + slack
+    analytic_cycles = analytic_s / NOC_CYCLE_S
+    lower, upper = config.latency_band(analytic_cycles)
 
     net = NocNetwork(schedule.shape, network=network)
     messages, barriers = messages_from_schedule(

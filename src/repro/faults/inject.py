@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 from ..config.faults import FaultModelConfig
+from ..config.units import NOC_CYCLE_S
 from ..core.schedule import CommSchedule
 from ..errors import FaultError
 from ..noc.network import NocNetwork
 from .model import FaultSet, bank_name, chip_name
-
-#: One simulation cycle is one nanosecond (see repro.noc.network).
-_CYCLE_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def build_noc_fault_plan(
         factor = max(1, math.ceil(severity))
         factors[f"dq:{r}:{c}:up"] = factor
         factors[f"dq:{r}:{c}:down"] = factor
-    stall_cycles = max(1, round(model.rank_bus_stall_s / _CYCLE_S))
+    stall_cycles = max(1, round(model.rank_bus_stall_s / NOC_CYCLE_S))
     windows = tuple(
         ((2 * i + 1) * stall_cycles, (2 * i + 2) * stall_cycles)
         for i in range(fault_set.bus_stalls)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from ..config.network import PimnetNetworkConfig
+from ..config.units import NOC_CYCLE_S
 from ..core.schedule import Shape
 from ..errors import SimulationError, TopologyError
 from .links import Link, SharedMedium
@@ -45,7 +46,7 @@ class NocNetwork:
     # -- construction ------------------------------------------------------------
     def _cycles_per_flit(self, bandwidth_bytes_per_s: float) -> int:
         seconds = self.flit_bytes / bandwidth_bytes_per_s
-        return max(1, math.ceil(seconds / 1e-9))
+        return max(1, math.ceil(seconds / NOC_CYCLE_S))
 
     def _add_link(
         self,
@@ -63,7 +64,7 @@ class NocNetwork:
             src_router=src,
             dst_router=dst,
             cycles_per_flit=self._cycles_per_flit(bandwidth),
-            latency_cycles=max(0, round(latency_s / 1e-9)),
+            latency_cycles=max(0, round(latency_s / NOC_CYCLE_S)),
             buffer_depth=self.buffer_depth,
             medium=medium,
         )

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from ..collectives.patterns import Collective
+from ..config.units import NOC_CYCLE_S
 from ..core.schedule import CommSchedule, Tier
 from ..core.sync import SyncTree
 from ..errors import SimulationError
@@ -85,7 +86,7 @@ def messages_from_schedule(
         sync_cycles = 0
         if sync_tree is not None:
             sync_cycles = max(
-                1, round(sync_tree.round_trip_latency_s() / 1e-9)
+                1, round(sync_tree.round_trip_latency_s() / NOC_CYCLE_S)
             )
         start = max(ready) + sync_cycles
     else:

@@ -17,6 +17,7 @@ Typical use::
     )  # replayed from the cached profile; no rebuild
 """
 
+from ..config.units import NOC_CYCLE_S as CYCLE_S
 from .cache import (
     DEFAULT_MAX_PROFILES,
     DEFAULT_MAX_SCHEDULES,
@@ -30,7 +31,6 @@ from .cache import (
     use_schedule_cache,
 )
 from .calibrate import (
-    CYCLE_S,
     NocCalibration,
     calibrate_schedule,
     simulate_noc_cycles,

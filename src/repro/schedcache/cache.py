@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..collectives.patterns import Collective
 from ..config.conformance import ConformanceConfig
+from ..config.units import NOC_CYCLE_S
 from ..core.schedule import (
     CommSchedule,
     Shape,
@@ -48,7 +49,6 @@ from ..core.schedule import (
 from ..errors import SchedCacheError
 from ..observability import metric_counter, trace_span
 from .calibrate import (
-    CYCLE_S,
     NocCalibration,
     calibrate_schedule,
     simulate_noc_cycles,
@@ -403,7 +403,7 @@ class ScheduleCache:
                 root=root, itemsize=itemsize,
             ).values()
         )
-        analytic_cycles = analytic_s / CYCLE_S
+        analytic_cycles = analytic_s / NOC_CYCLE_S
         calibration = self.calibration(
             pattern, shape, network, root=root, itemsize=itemsize
         )

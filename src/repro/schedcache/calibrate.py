@@ -9,8 +9,7 @@ predicts the simulator's cycle count for other payloads as
 ``ratio * analytic_cycles``.
 
 The estimate is only *served* while it stays inside the conformance
-band PR 5 established (``min_ratio*analytic - slack <= noc <=
-(1+rel_tol)*analytic + slack``, :class:`ConformanceConfig` defaults).
+band (:meth:`ConformanceConfig.latency_band`).
 Outside the band the cache refuses to extrapolate and falls back to a
 fresh flit-level simulation — the band is the contract that rescaling
 is still trustworthy.
@@ -22,14 +21,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..config.conformance import ConformanceConfig
+from ..config.units import NOC_CYCLE_S
 from ..core.schedule import CommSchedule, schedule_timing
 from ..errors import SchedCacheError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..config.network import PimnetNetworkConfig
-
-#: 1 simulator cycle = 1 ns (the NoC convention).
-CYCLE_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,20 +49,11 @@ class NocCalibration:
         """Predicted flit-sim cycles at another payload's analytic time."""
         return self.ratio * analytic_cycles
 
-    def band(
-        self, analytic_cycles: float, config: ConformanceConfig
-    ) -> tuple[float, float]:
-        """The PR 5 conformance band around ``analytic_cycles``."""
-        slack = config.latency_abs_slack_cycles
-        lower = config.latency_min_ratio * analytic_cycles - slack
-        upper = (1.0 + config.latency_rel_tol) * analytic_cycles + slack
-        return lower, upper
-
     def in_band(
         self, analytic_cycles: float, config: ConformanceConfig
     ) -> bool:
         """Whether the rescaled estimate is inside the conformance band."""
-        lower, upper = self.band(analytic_cycles, config)
+        lower, upper = config.latency_band(analytic_cycles)
         return lower <= self.estimate_cycles(analytic_cycles) <= upper
 
     def to_dict(self) -> dict:
@@ -123,6 +111,6 @@ def calibrate_schedule(
     cycles = simulate_noc_cycles(schedule, network, itemsize=itemsize)
     return NocCalibration(
         base_elements=schedule.num_elements,
-        base_analytic_cycles=analytic_s / CYCLE_S,
+        base_analytic_cycles=analytic_s / NOC_CYCLE_S,
         base_noc_cycles=cycles,
     )

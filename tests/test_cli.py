@@ -454,3 +454,35 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all workloads verified" in out
         assert "GEMV" in out and "NTT" in out
+
+    def test_failing_runner_prints_fail_line(self, capsys, monkeypatch):
+        from repro.workloads import differential
+
+        def broken(case, backend, rng):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setitem(differential._RUNNERS, "GEMV", broken)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "  GEMV   FAIL (RuntimeError: injected fault)" in out
+        assert "  MLP    ok" in out
+        assert "all workloads verified" not in out
+
+    def test_undeclared_collective_fails_the_trace_check(
+        self, capsys, monkeypatch
+    ):
+        from repro.workloads import ScanWorkload
+
+        phases = ScanWorkload.phases
+
+        def one_extra(self, machine):
+            declared = phases(self, machine)
+            return declared + declared[-1:]
+
+        monkeypatch.setattr(ScanWorkload, "phases", one_extra)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        (scan,) = [
+            line for line in out.splitlines() if line.startswith("  SCAN ")
+        ]
+        assert "FAIL" in scan and "trace mismatch" in scan
