@@ -50,8 +50,9 @@ class FaultModelConfig(JsonForm):
 
     Rates are independent per-component probabilities; severities are
     multipliers (>= 1) applied to affected components.  All zeros — the
-    default — is the ideal fault-free machine, and every injection hook
-    must then be a strict no-op.
+    default — is the ideal fault-free machine, on which
+    :func:`repro.faults.collective_under_faults` returns the fault-free
+    result unchanged.
     """
 
     json_noun = "fault model"
@@ -117,8 +118,7 @@ class FaultModelConfig(JsonForm):
         axis; severities are left untouched so the sweep varies *how
         many* components fail, not how badly.
         """
-        if rate_factor < 0:
-            raise FaultConfigError("rate_factor must be >= 0")
+        check_number(rate_factor, "rate_factor", FaultConfigError, at_least=0)
         from dataclasses import replace
 
         return replace(

@@ -35,6 +35,10 @@ MS = 1e-3
 #: One cycle of the flit-level NoC simulator (repro.noc): one nanosecond.
 NOC_CYCLE_S = NS
 
+#: One flit of the NoC simulator; the closed-form fault engine counts
+#: corruption trials over the same flit population.
+NOC_FLIT_BYTES = 16
+
 # --- frequency -------------------------------------------------------------
 KHZ = 1e3
 MHZ = 1e6

@@ -8,20 +8,21 @@ plus link degradation, bus stalls, and transient flit corruption, across
 all three tiers — and does it reproducibly: every fault set is a pure
 function of ``(seed, machine config, campaign spec)``.
 
+The fault model is closed-form only: a fault stretches or aborts a
+fault-free :class:`~repro.collectives.CollectiveResult`; the cycle-level
+NoC simulator (:mod:`repro.noc`) always runs the fault-free fabric.
+
 Layers:
 
 * :mod:`repro.faults.model` — seeded sampling of concrete fault sets,
   with common-random-numbers nesting so fault-rate sweeps are monotone;
 * :mod:`repro.faults.engine` — closed-form degraded
   :class:`~repro.collectives.CollectiveResult` per trial;
-* :mod:`repro.faults.inject` — lowering onto the cycle-level NoC
-  simulator (outage windows, serialization factors, corruption coins)
-  and static-schedule feasibility checks;
 * :mod:`repro.faults.campaign` — many-trial campaigns with degradation
   statistics (completion rate, bandwidth, tail latencies).
 
-With no faults configured, every hook is a strict no-op: fault-free
-results stay byte-for-byte identical to a build without this package.
+With no faults configured, the engine returns the fault-free result
+unchanged.
 """
 
 from .campaign import (
@@ -33,13 +34,6 @@ from .campaign import (
     trial_seed,
 )
 from .engine import collective_under_faults
-from .inject import (
-    NocFaultPlan,
-    apply_noc_faults,
-    build_noc_fault_plan,
-    check_degraded_schedule,
-    clear_noc_faults,
-)
 from .model import (
     FaultEvent,
     FaultSet,
@@ -58,11 +52,6 @@ __all__ = [
     "run_campaign",
     "trial_seed",
     "collective_under_faults",
-    "NocFaultPlan",
-    "apply_noc_faults",
-    "build_noc_fault_plan",
-    "check_degraded_schedule",
-    "clear_noc_faults",
     "FaultEvent",
     "FaultSet",
     "bank_name",

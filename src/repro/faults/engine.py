@@ -1,8 +1,8 @@
 """The resilience engine: (machine, fault set) -> degraded CollectiveResult.
 
-Closed-form counterpart of the NoC-level hooks in
-:mod:`repro.faults.inject`: it starts from a backend's fault-free
-:class:`CommBreakdown` and applies each fault family's cost model —
+The repository's one fault model, in closed form: it starts from a
+backend's fault-free :class:`CommBreakdown` and applies each fault
+family's cost model —
 
 * **stragglers** stretch every transport tier by the slowest straggler's
   multiplier (bulk-synchronous phases wait for the last DPU);
@@ -10,7 +10,8 @@ Closed-form counterpart of the NoC-level hooks in
   serialization factor;
 * **bus stalls** each add a fixed stall to the inter-rank tier;
 * **flit corruption** charges detection + retransmission per corrupted
-  flit, counted against the sweep-shared uniforms of
+  NoC-sized flit (:data:`~repro.config.units.NOC_FLIT_BYTES`), counted
+  against the sweep-shared uniforms of
   :func:`repro.faults.model.corruption_uniforms` (so the count is
   non-decreasing in the rate);
 * **fail-stop** faults make the static schedule infeasible: the
@@ -33,6 +34,7 @@ from ..collectives.patterns import Collective, CollectiveRequest
 from ..collectives.result import CollectiveResult, CommBreakdown
 from ..config.faults import FaultModelConfig
 from ..config.presets import MachineConfig
+from ..config.units import NOC_FLIT_BYTES
 from ..core.sync import SyncTree
 from ..observability import (
     metric_counter,
@@ -41,10 +43,6 @@ from ..observability import (
     trace_span,
 )
 from .model import FaultSet, corruption_uniforms, sample_fault_set
-
-#: Flit size used to convert payload bytes into corruption trials; must
-#: match the NoC default so both engines count the same flit population.
-_FLIT_BYTES = 16
 
 
 def collective_under_faults(
@@ -135,12 +133,12 @@ def _degraded_breakdown(
         rank_s += stalls * model.rank_bus_stall_s
 
     if model.flit_corruption_rate > 0.0 and payload_bytes > 0:
-        num_flits = math.ceil(payload_bytes / _FLIT_BYTES)
+        num_flits = math.ceil(payload_bytes / NOC_FLIT_BYTES)
         uniforms = corruption_uniforms(seed, num_flits)
         corrupted = int((uniforms < model.flit_corruption_rate).sum())
         if corrupted:
             retries = corrupted
-            flit_s = _FLIT_BYTES / (
+            flit_s = NOC_FLIT_BYTES / (
                 machine.pimnet.inter_bank.link_bandwidth_bytes_per_s
             )
             bank_s += corrupted * model.retry_penalty_flits * flit_s

@@ -88,11 +88,6 @@ class SimStats:
     arbitration_conflicts: int = 0
     events_processed: int = 0
     idle_cycles_skipped: int = 0
-    #: Fault injection (:mod:`repro.faults`): flits whose CRC check
-    #: failed on some hop, and the total extra link occupancy their
-    #: detection + retransmission cost.  Zero on fault-free runs.
-    flits_corrupted: int = 0
-    retry_cycles_paid: int = 0
     per_message_latency: dict[int, int] = field(default_factory=dict)
     link_busy_cycles: dict[str, int] = field(default_factory=dict)
     #: input-buffer high-water mark per link, in flits (the per-link

@@ -12,31 +12,18 @@ reference loop kept for equivalence testing) drive the same primitives:
 * :class:`SharedMedium` tracks its member links and a round-robin grant
   pointer so bus arbitration rotates instead of statically favoring
   whichever link happens to come first in the network's link dict.
+
+Links model the fault-free fabric only: a fault stretches or aborts a
+statically scheduled collective as a whole, which
+:mod:`repro.faults.engine` computes in closed form.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import SimulationError
-
-
-def _in_window(windows: tuple, now: int) -> bool:
-    """Whether ``now`` falls inside any half-open ``[start, end)`` window."""
-    for start, end in windows:
-        if start <= now < end:
-            return True
-    return False
-
-
-def _window_end(windows: tuple, now: int) -> int | None:
-    """End of the first window containing ``now``, or None."""
-    for start, end in windows:
-        if start <= now < end:
-            return end
-    return None
 
 
 @dataclass(eq=False)
@@ -55,20 +42,9 @@ class SharedMedium:
     next_free_cycle: int = 0
     members: list = field(default_factory=list)
     rr_index: int = 0
-    #: Fault injection (:mod:`repro.faults`): half-open ``[start, end)``
-    #: cycle windows during which no member link may start a traversal
-    #: (an inter-rank bus stall).  Configuration, not simulation state —
-    #: :meth:`reset` leaves it alone.
-    stall_windows: tuple = ()
 
     def register(self, link: "Link") -> None:
         self.members.append(link)
-
-    def in_stall(self, now: int) -> bool:
-        return _in_window(self.stall_windows, now)
-
-    def stall_end(self, now: int) -> int | None:
-        return _window_end(self.stall_windows, now)
 
     def grant_rotation(self) -> list:
         """Member links in current round-robin priority order."""
@@ -107,20 +83,6 @@ class Link:
     next_free_cycle: int = field(init=False, default=0)
     buffer: deque = field(init=False, default_factory=deque)
     in_flight: deque = field(init=False, default_factory=deque)
-    # -- fault injection configuration (:mod:`repro.faults`) --
-    # All defaults make every fault check collapse to a falsy test, so a
-    # link that never saw `configure_faults` behaves byte-for-byte like
-    # one built before the fault engine existed.
-    outages: tuple = field(init=False, default=())
-    fault_factor: int = field(init=False, default=1)
-    extra_latency_cycles: int = field(init=False, default=0)
-    corruption_rate: float = field(init=False, default=0.0)
-    retry_cycles: int = field(init=False, default=0)
-    corruption_salt: int = field(init=False, default=0)
-    # -- fault counters (simulation state; cleared by :meth:`reset`) --
-    traversal_count: int = field(init=False, default=0)
-    corrupted_flits: int = field(init=False, default=0)
-    retry_cycles_paid: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.cycles_per_flit < 1:
@@ -135,85 +97,6 @@ class Link:
         if self.medium is not None:
             self.medium.register(self)
 
-    # -- fault injection ----------------------------------------------------
-    def configure_faults(
-        self,
-        outages: tuple = (),
-        fault_factor: int = 1,
-        extra_latency_cycles: int = 0,
-        corruption_rate: float = 0.0,
-        retry_cycles: int = 0,
-        corruption_salt: int = 0,
-    ) -> None:
-        """Install a fault plan on this link (see :mod:`repro.faults`).
-
-        ``outages`` are half-open ``[start, end)`` cycle windows during
-        which the link refuses traversals (a degraded/re-training link);
-        ``fault_factor`` multiplies the serialization interval;
-        ``extra_latency_cycles`` stretches the pipeline latency;
-        ``corruption_rate`` flips a deterministic per-traversal coin and
-        charges ``retry_cycles`` of extra occupancy per corrupted flit
-        (detection + retransmission of the CRC-failed flit).
-        """
-        for start, end in outages:
-            if start < 0 or end <= start:
-                raise SimulationError(
-                    f"{self.name}: bad outage window [{start}, {end})"
-                )
-        if fault_factor < 1:
-            raise SimulationError(f"{self.name}: fault_factor must be >= 1")
-        if extra_latency_cycles < 0 or retry_cycles < 0:
-            raise SimulationError(f"{self.name}: negative fault cycles")
-        if not 0.0 <= corruption_rate <= 1.0:
-            raise SimulationError(
-                f"{self.name}: corruption_rate must be in [0, 1]"
-            )
-        self.outages = tuple(sorted(outages))
-        self.fault_factor = fault_factor
-        self.extra_latency_cycles = extra_latency_cycles
-        self.corruption_rate = corruption_rate
-        self.retry_cycles = retry_cycles
-        self.corruption_salt = corruption_salt
-
-    def clear_faults(self) -> None:
-        self.configure_faults()
-
-    @property
-    def has_fault_windows(self) -> bool:
-        return bool(self.outages) or bool(
-            self.medium is not None and self.medium.stall_windows
-        )
-
-    def fault_wake_cycle(self, now: int) -> int | None:
-        """Earliest cycle the window blocking ``now`` opens, if any.
-
-        The event-driven loop pushes this as a wake event when a
-        requested link refuses a flit mid-window; ``can_accept`` is
-        simply re-checked at the wake, so overlapping windows need no
-        special handling here.
-        """
-        ends = []
-        end = _window_end(self.outages, now)
-        if end is not None:
-            ends.append(end)
-        if self.medium is not None:
-            end = self.medium.stall_end(now)
-            if end is not None:
-                ends.append(end)
-        return min(ends) if ends else None
-
-    def _corruption_uniform(self) -> float:
-        """Deterministic per-traversal uniform in [0, 1).
-
-        Depends only on (salt, link name, traversal index) — not on
-        timing — so the i-th traversal of a link draws the same value at
-        every fault rate of a sweep, and the corrupted-flit count is
-        non-decreasing in the rate (common random numbers).  CRC32 is
-        used because Python's ``hash`` is salted per process.
-        """
-        token = f"{self.corruption_salt}:{self.name}:{self.traversal_count}"
-        return zlib.crc32(token.encode()) / 4294967296.0
-
     # -- flow control -------------------------------------------------------
     def can_accept(self, now: int) -> bool:
         """Whether a flit may start traversing this link at ``now``."""
@@ -221,37 +104,19 @@ class Link:
             return False
         if self.next_free_cycle > now:
             return False
-        if self.outages and _in_window(self.outages, now):
-            return False
         medium = self.medium
-        if medium is not None:
-            if medium.next_free_cycle > now:
-                return False
-            if medium.stall_windows and medium.in_stall(now):
-                return False
-        return True
+        return medium is None or medium.next_free_cycle <= now
 
     def start_traversal(self, flit, now: int) -> int:
         """Commit a flit to the wire; returns its arrival cycle."""
         if not self.can_accept(now):
             raise SimulationError(f"{self.name}: traversal without capacity")
         self.credits -= 1
-        occupancy = self.cycles_per_flit
-        latency = self.latency_cycles
-        if self.fault_factor > 1:
-            occupancy *= self.fault_factor
-        if self.extra_latency_cycles:
-            latency += self.extra_latency_cycles
-        if self.corruption_rate > 0.0:
-            self.traversal_count += 1
-            if self._corruption_uniform() < self.corruption_rate:
-                self.corrupted_flits += 1
-                self.retry_cycles_paid += self.retry_cycles
-                occupancy += self.retry_cycles
-        self.next_free_cycle = now + occupancy
+        free = now + self.cycles_per_flit
+        self.next_free_cycle = free
         if self.medium is not None:
-            self.medium.next_free_cycle = now + occupancy
-        arrival = now + occupancy + latency
+            self.medium.next_free_cycle = free
+        arrival = free + self.latency_cycles
         self.in_flight.append((arrival, flit))
         return arrival
 
@@ -277,16 +142,8 @@ class Link:
             raise SimulationError(f"{self.name}: credit overflow")
 
     def reset(self) -> None:
-        """Clear simulation state for a fresh run.
-
-        Fault *configuration* (outage windows, factors, rates) survives
-        a reset — it describes the machine, not the run; fault
-        *counters* are simulation state and start over.
-        """
+        """Clear simulation state for a fresh run."""
         self.credits = self.buffer_depth
         self.next_free_cycle = 0
         self.buffer.clear()
         self.in_flight.clear()
-        self.traversal_count = 0
-        self.corrupted_flits = 0
-        self.retry_cycles_paid = 0

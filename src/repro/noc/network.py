@@ -8,8 +8,9 @@ Router naming:
 * ``xbar:{r}`` — rank r's inter-chip crossbar on the buffer chip;
 * rank-to-rank links ride the shared half-duplex ``bus`` medium.
 
-One simulation cycle is one nanosecond; a link's ``cycles_per_flit`` is
-the ceiling of flit serialization time on that tier's channel.
+One simulation cycle is one nanosecond and one flit is
+:data:`~repro.config.units.NOC_FLIT_BYTES`; a link's ``cycles_per_flit``
+is the ceiling of flit serialization time on that tier's channel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 
 from ..config.network import PimnetNetworkConfig
-from ..config.units import NOC_CYCLE_S
+from ..config.units import NOC_CYCLE_S, NOC_FLIT_BYTES
 from ..core.schedule import Shape
 from ..errors import SimulationError, TopologyError
 from .links import Link, SharedMedium
@@ -30,15 +31,10 @@ class NocNetwork:
         self,
         shape: Shape,
         network: PimnetNetworkConfig | None = None,
-        flit_bytes: int = 16,
-        buffer_depth: int = 4,
     ) -> None:
-        if flit_bytes < 1:
-            raise SimulationError("flit size must be positive")
         self.shape = shape
         self.network = network or PimnetNetworkConfig()
-        self.flit_bytes = flit_bytes
-        self.buffer_depth = buffer_depth
+        self.flit_bytes = NOC_FLIT_BYTES
         self.links: dict[str, Link] = {}
         self.bus_medium = SharedMedium("ddr-bus")
         self._build()
@@ -65,7 +61,6 @@ class NocNetwork:
             dst_router=dst,
             cycles_per_flit=self._cycles_per_flit(bandwidth),
             latency_cycles=max(0, round(latency_s / NOC_CYCLE_S)),
-            buffer_depth=self.buffer_depth,
             medium=medium,
         )
         self.links[name] = link

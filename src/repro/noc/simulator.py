@@ -115,7 +115,6 @@ class NocSimulator:
         self,
         network: NocNetwork,
         messages: list[Message],
-        use_barriers: bool = False,
         record_grants: bool = False,
     ) -> None:
         self.network = network
@@ -138,7 +137,7 @@ class NocSimulator:
                         f"message {m.msg_id} depends on unknown "
                         f"message {dep}"
                     )
-        self.use_barriers = use_barriers
+        self.use_barriers = False
         self.record_grants = record_grants
         self.barriers: dict[int, int] = {}
         self._message_barrier: dict[int, int] = {}
@@ -465,11 +464,8 @@ class NocSimulator:
         flit.arrival_link = None
         arrival = link.start_traversal(flit, now)
         stats.total_flit_hops += 1
-        # Actual occupancy, not the nominal interval: fault injection
-        # (degradation factors, retransmissions) can stretch it.
         stats.link_busy_cycles[link.name] = (
-            stats.link_busy_cycles.get(link.name, 0)
-            + (link.next_free_cycle - now)
+            stats.link_busy_cycles.get(link.name, 0) + link.cycles_per_flit
         )
         if self.record_grants:
             stats.grant_log.setdefault(link.name, []).append(port_label)
@@ -487,9 +483,6 @@ class NocSimulator:
         stats.messages_delivered = sum(
             1 for m in self.messages.values() if m.delivered
         )
-        for link in state.links:
-            stats.flits_corrupted += link.corrupted_flits
-            stats.retry_cycles_paid += link.retry_cycles_paid
         return stats
 
     # -- event-driven main loop --------------------------------------------------------
@@ -505,13 +498,6 @@ class NocSimulator:
         heapq.heapify(events)
         state.ready_heap = sorted(events)
         arrivals: list[tuple[int, int, Link]] = []
-        # Fault windows (link outages, bus stalls) block a link without
-        # any state change that would schedule a wake; when any exist,
-        # step 4 pushes the blocking window's end as an event.  The scan
-        # runs once per run, so the fault-free path stays untouched.
-        fault_windows = any(
-            link.has_fault_windows for link in state.links
-        )
         now = -1
 
         while state.remaining > 0:
@@ -584,10 +570,6 @@ class NocSimulator:
                     visited.add(link)
                     state.arb_cursor = key
                     if not link.can_accept(now):
-                        if fault_windows:
-                            wake = link.fault_wake_cycle(now)
-                            if wake is not None:
-                                heapq.heappush(events, wake)
                         continue
                     arrival = self._try_grant(link, state, now)
                     if arrival is None:

@@ -97,9 +97,12 @@ class TestFaultModelScaled:
         )
         assert model.scaled(3.0).straggler_severity == 4.0
 
-    def test_negative_factor_rejected(self):
+    @pytest.mark.parametrize(
+        "factor", [-1.0, float("nan"), float("inf"), True, "2"]
+    )
+    def test_negative_factor_rejected(self, factor):
         with pytest.raises(FaultConfigError):
-            FaultModelConfig().scaled(-1.0)
+            FaultModelConfig(bank_straggler_rate=0.1).scaled(factor)
 
 
 class TestFaultModelSerialization:

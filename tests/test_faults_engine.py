@@ -1,12 +1,15 @@
 """Closed-form resilience engine: statuses, costs, and the zero-fault
 no-op guarantee."""
 
+import math
+
 import pytest
 
 from repro.collectives import COLLECTIVE_STATUSES
 from repro.collectives.backend import registry
 from repro.collectives.patterns import Collective, CollectiveRequest
 from repro.config import FaultModelConfig, small_test_system
+from repro.config.units import NOC_FLIT_BYTES
 from repro.faults import FaultSet, collective_under_faults
 
 PAYLOAD = 1 << 16
@@ -131,6 +134,12 @@ class TestCostModels:
                 machine, FaultModelConfig(), 3, PAYLOAD
             ).breakdown.inter_bank_s
         )
+
+    @pytest.mark.parametrize("payload", [PAYLOAD, PAYLOAD + 8])
+    def test_corruption_trials_are_noc_sized_flits(self, machine, payload):
+        model = FaultModelConfig(flit_corruption_rate=1.0)
+        result = collective_under_faults(machine, model, 0, payload)
+        assert result.retries == math.ceil(payload / NOC_FLIT_BYTES)
 
     def test_degraded_chip_link_stretches_inter_chip_tier(self, machine):
         model = FaultModelConfig(

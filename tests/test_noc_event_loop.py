@@ -148,75 +148,6 @@ class TestEquivalenceRandomized:
         assert_equivalent(net, messages, barriers)
 
 
-@st.composite
-def link_faults(draw):
-    """Per-link degradation for a network not yet built: indices into
-    its sorted link-name list, plus the perturbation to install."""
-    faults = []
-    for _ in range(draw(st.integers(0, 4))):
-        faults.append({
-            "link": draw(st.integers(0, 63)),
-            "factor": draw(st.integers(1, 3)),
-            "outages": tuple(
-                (start, start + draw(st.integers(1, 120)))
-                for start in draw(
-                    st.lists(st.integers(0, 300), max_size=2)
-                )
-            ),
-            "corruption_rate": draw(
-                st.sampled_from([0.0, 0.1, 0.5])
-            ),
-        })
-    bus_stall = draw(st.booleans())
-    return faults, bus_stall
-
-
-@pytest.mark.slow
-class TestEquivalenceUnderInjectedFaults:
-    """Satellite of ``repro.faults``: the two loops must stay byte-equal
-    on randomized workloads with link-degradation windows, serialization
-    factors, bus stalls, and corruption coins active."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(random_workload(), link_faults())
-    def test_event_loop_matches_reference_with_faults(
-        self, workload, fault_spec
-    ):
-        shape, messages, barriers = workload
-        faults, bus_stall = fault_spec
-        net = NocNetwork(shape)
-        names = sorted(net.links)
-        for fault in faults:
-            link = net.links[names[fault["link"] % len(names)]]
-            link.configure_faults(
-                outages=fault["outages"],
-                fault_factor=fault["factor"],
-                corruption_rate=fault["corruption_rate"],
-                retry_cycles=2 * link.cycles_per_flit,
-                corruption_salt=7,
-            )
-        if bus_stall:
-            net.bus_medium.stall_windows = ((10, 90), (150, 220))
-        assert_equivalent(net, messages, barriers)
-
-    def test_faulted_run_is_never_faster_than_clean(self):
-        shape = Shape(2, 2, 2)
-        messages = [
-            Message(msg_id=i, src=i % 8, dst=(i * 3 + 1) % 8 or 1,
-                    num_flits=3)
-            for i in range(12)
-            if i % 8 != ((i * 3 + 1) % 8 or 1)
-        ]
-        clean, _ = run_both(NocNetwork(shape), messages)
-        net = NocNetwork(shape)
-        for name in sorted(net.links):
-            net.links[name].configure_faults(
-                outages=((0, 50),), fault_factor=2
-            )
-        faulted, _ = run_both(net, messages)
-        assert faulted.cycles >= clean.cycles
-
-
 class TestBarrierReleaseOrdering:
     """The O(1) frontier over a precomputed release order must behave
     exactly like the old per-message scan over every barrier."""

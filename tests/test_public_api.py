@@ -1,5 +1,8 @@
 """Public API surface: the contract a downstream user imports against."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 
 import repro
@@ -10,6 +13,10 @@ from repro import (
 from repro.collectives import ReduceOp
 
 from .conftest import make_buffers
+
+
+def _subpackages():
+    return [m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg]
 
 
 class TestPackageSurface:
@@ -31,26 +38,16 @@ class TestPackageSurface:
             assert name in repro.__all__, name
 
     def test_subpackages_importable(self):
-        import repro.analysis  # noqa: F401
-        import repro.collectives  # noqa: F401
-        import repro.config  # noqa: F401
-        import repro.core  # noqa: F401
-        import repro.dpu  # noqa: F401
-        import repro.experiments  # noqa: F401
-        import repro.host  # noqa: F401
-        import repro.memory  # noqa: F401
-        import repro.noc  # noqa: F401
-        import repro.topology  # noqa: F401
-        import repro.workloads  # noqa: F401
+        subpackages = _subpackages()
+        assert "faults" in subpackages
+        for name in subpackages:
+            importlib.import_module(f"repro.{name}")
 
     def test_subpackage_alls_resolve(self):
-        import repro.analysis
-        import repro.core
-        import repro.workloads
-
-        for module in (repro.analysis, repro.core, repro.workloads):
-            for name in module.__all__:
-                assert hasattr(module, name), (module.__name__, name)
+        for name in _subpackages():
+            module = importlib.import_module(f"repro.{name}")
+            for export in module.__all__:
+                assert hasattr(module, export), (module.__name__, export)
 
 
 class TestRootedApis:
