@@ -346,16 +346,15 @@ def run_matrix(
     cache_dir: str = DEFAULT_CACHE_DIR,
 ) -> MatrixReport:
     """Run every matrix point; mutated runs never touch the cache."""
-    from ..runner.cache import ResultCache, cache_key, code_fingerprint
+    from ..runner.cache import ResultCache, cache_key, key_prefix
 
     config = config or ConformanceConfig()
     network = network or PimnetNetworkConfig()
     start = time.perf_counter()
-    cache = None
-    code = None
+    cache = prefix = None
     if cache_enabled and mutation is None:
         cache = ResultCache(cache_dir)
-        code = code_fingerprint()
+        prefix = key_prefix("conformance", network)
 
     reports: list[dict] = []
     hits = misses = 0
@@ -368,12 +367,7 @@ def run_matrix(
         for point in enumerate_matrix(config):
             key = None
             if cache is not None:
-                key = cache_key(
-                    "conformance",
-                    network,
-                    _cache_params(point, config),
-                    code=code,
-                )
+                key = cache_key(prefix, _cache_params(point, config))
                 hit, value = cache.get("conformance", key)
                 if hit:
                     reports.append(value)

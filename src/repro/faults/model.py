@@ -121,20 +121,6 @@ def chip_name(r: int, c: int) -> str:
     return f"chip:{r}:{c}"
 
 
-def iter_banks(system: PimSystemConfig):
-    """(r, c, b) triples in the fixed topology (draw) order."""
-    for r in range(system.ranks_per_channel):
-        for c in range(system.chips_per_rank):
-            for b in range(system.banks_per_chip):
-                yield r, c, b
-
-
-def iter_chips(system: PimSystemConfig):
-    for r in range(system.ranks_per_channel):
-        for c in range(system.chips_per_rank):
-            yield r, c
-
-
 def component_rng(seed: int, stream: int = _STREAM_COMPONENTS):
     """The seeded generator for one draw family of one trial."""
     if seed < 0:
@@ -169,43 +155,43 @@ def sample_fault_set(
     DIMM, a marginal link) on top of the sampled ones: banks and ranks
     fail-stop, chips lose their DQ link, and ``bus`` stalls.
     """
-    rng = component_rng(seed)
+    chips, banks = system.chips_per_rank, system.banks_per_chip
+    num_chips = system.ranks_per_channel * chips
+    num_banks = num_chips * banks
+    # One vector draw is the same stream as the scalar draws in topology
+    # order: three per bank, two per chip, then one for the bus.
+    u = component_rng(seed).random(3 * num_banks + 2 * num_chips + 1)
+    bank_u = u[: 3 * num_banks].reshape(num_banks, 3)
+    chip_u = u[3 * num_banks : -1].reshape(num_chips, 2)
     events: list[FaultEvent] = []
 
-    for r, c, b in iter_banks(system):
-        u_fail = rng.random()
-        u_straggle = rng.random()
-        v_severity = rng.random()
-        if u_fail < model.bank_fail_stop_rate:
-            events.append(
-                FaultEvent("bank_fail_stop", bank_name(r, c, b))
-            )
-        if u_straggle < model.bank_straggler_rate:
-            severity = 1.0 + (model.straggler_severity - 1.0) * (
-                0.5 + 0.5 * v_severity
-            )
-            events.append(
-                FaultEvent("bank_straggler", bank_name(r, c, b), severity)
-            )
+    def bank(i: int) -> str:
+        chip, b = divmod(int(i), banks)
+        return bank_name(*divmod(chip, chips), b)
 
-    for r, c in iter_chips(system):
-        u_fail = rng.random()
-        u_degrade = rng.random()
-        if u_fail < model.chip_link_fail_rate:
-            events.append(
-                FaultEvent("chip_link_failed", chip_name(r, c))
-            )
-        elif u_degrade < model.chip_link_degrade_rate:
-            events.append(
-                FaultEvent(
-                    "chip_link_degraded",
-                    chip_name(r, c),
-                    model.chip_link_degrade_factor,
-                )
-            )
+    def chip(i: int) -> str:
+        return chip_name(*divmod(int(i), chips))
 
-    u_bus = rng.random()
-    if u_bus < model.rank_bus_stall_rate:
+    for i in np.flatnonzero(bank_u[:, 0] < model.bank_fail_stop_rate):
+        events.append(FaultEvent("bank_fail_stop", bank(i)))
+    for i in np.flatnonzero(bank_u[:, 1] < model.bank_straggler_rate):
+        severity = 1.0 + (model.straggler_severity - 1.0) * (
+            0.5 + 0.5 * float(bank_u[i, 2])
+        )
+        events.append(FaultEvent("bank_straggler", bank(i), severity))
+
+    failed = chip_u[:, 0] < model.chip_link_fail_rate
+    for i in np.flatnonzero(failed):
+        events.append(FaultEvent("chip_link_failed", chip(i)))
+    degraded = ~failed & (chip_u[:, 1] < model.chip_link_degrade_rate)
+    for i in np.flatnonzero(degraded):
+        events.append(
+            FaultEvent(
+                "chip_link_degraded", chip(i), model.chip_link_degrade_factor
+            )
+        )
+
+    if u[-1] < model.rank_bus_stall_rate:
         events.append(FaultEvent("rank_bus_stall", "bus"))
 
     events.extend(_forced_events(targets, system, model))

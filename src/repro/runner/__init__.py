@@ -32,6 +32,7 @@ from .cache import (
     ResultCache,
     cache_key,
     code_fingerprint,
+    key_prefix,
 )
 from .canonical import canonical_json, canonicalize
 from .executor import ExperimentRun, run_experiment
@@ -70,6 +71,7 @@ __all__ = [
     "code_fingerprint",
     "ensure_experiments_loaded",
     "format_tables",
+    "key_prefix",
     "monolithic_spec",
     "register_experiment",
     "register_monolithic",

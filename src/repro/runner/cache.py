@@ -59,21 +59,33 @@ def code_fingerprint(refresh: bool = False) -> str:
     return _FINGERPRINT
 
 
-def cache_key(
-    experiment_id: str,
-    machine: Any,
-    params: dict[str, Any],
-    code: str | None = None,
-) -> str:
-    """The content address of one sweep point's result."""
-    payload = {
-        "cache_version": CACHE_VERSION,
-        "experiment": experiment_id,
-        "machine": machine,
-        "params": params,
-        "code": code if code is not None else code_fingerprint(),
-    }
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+def key_prefix(
+    experiment_id: str, machine: Any, code: str | None = None
+) -> Any:
+    """The SHA-256 state after every key byte that precedes the params.
+
+    Top-level keys sort as ``cache_version, code, experiment, machine,
+    params``, so a run canonicalizes its machine once here and
+    :func:`cache_key` hashes each point's params on a copy.
+    """
+    head = canonical_json(
+        {
+            "cache_version": CACHE_VERSION,
+            "experiment": experiment_id,
+            "machine": machine,
+            "params": None,
+            "code": code if code is not None else code_fingerprint(),
+        }
+    )
+    return hashlib.sha256(head.removesuffix("null}").encode())
+
+
+def cache_key(prefix: Any, params: dict[str, Any]) -> str:
+    """The content address of one sweep point's result: the SHA-256 of
+    the whole payload's canonical JSON, ``prefix`` from :func:`key_prefix`."""
+    digest = prefix.copy()
+    digest.update(canonical_json(params).encode() + b"}")
+    return digest.hexdigest()
 
 
 @dataclass

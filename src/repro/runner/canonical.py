@@ -26,16 +26,27 @@ import numpy as np
 from ..errors import RunnerError
 
 
+#: type -> its dataclass field names, ``None`` for any other type.  A
+#: class's fields are fixed when it is created, so entries never go stale.
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
 def canonicalize(value: Any) -> Any:
     """Lower ``value`` to JSON-representable types, deterministically."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    cls = type(value)
+    if cls not in _FIELD_NAMES:
+        _FIELD_NAMES[cls] = (
+            tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls)
+            else None
+        )
+    names = _FIELD_NAMES[cls]
+    if names is not None:
         lowered: dict[str, Any] = {
-            "__dataclass__": (
-                f"{type(value).__module__}.{type(value).__qualname__}"
-            )
+            "__dataclass__": f"{cls.__module__}.{cls.__qualname__}"
         }
-        for f in dataclasses.fields(value):
-            lowered[f.name] = canonicalize(getattr(value, f.name))
+        for name in names:
+            lowered[name] = canonicalize(getattr(value, name))
         return lowered
     if isinstance(value, Enum):
         return f"{type(value).__qualname__}.{value.name}"

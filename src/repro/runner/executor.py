@@ -31,7 +31,7 @@ from ..observability.metrics import (
     metrics_active,
     use_metrics,
 )
-from .cache import ResultCache, cache_key, code_fingerprint
+from .cache import ResultCache, cache_key, key_prefix
 from .registry import REGISTRY
 from .spec import ExperimentSpec, SweepPoint, format_tables
 
@@ -97,13 +97,13 @@ def run_experiment(
     values: list[Any] = [_UNSET] * len(points)
 
     cache = ResultCache(runner.cache_dir) if runner.cache_enabled else None
-    code = code_fingerprint() if cache is not None else None
+    prefix = key_prefix(experiment_id, machine) if cache is not None else None
     pending: list[tuple[SweepPoint, str | None]] = []
     hits = 0
     for point in points:
         key = None
         if cache is not None:
-            key = cache_key(experiment_id, machine, point.params, code=code)
+            key = cache_key(prefix, point.params)
             hit, value = cache.get(experiment_id, key)
             if hit:
                 values[point.index] = value

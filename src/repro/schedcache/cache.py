@@ -243,11 +243,10 @@ class ScheduleCache:
     def _store_key(
         self, key: StructureKey, network: "PimnetNetworkConfig"
     ) -> str:
-        from ..runner.cache import cache_key
+        from ..runner.cache import cache_key, key_prefix
 
         return cache_key(
-            STORE_NAMESPACE,
-            network,
+            key_prefix(STORE_NAMESPACE, network),
             {**key.store_params(), "profile_version": PROFILE_VERSION},
         )
 

@@ -1,9 +1,12 @@
 """Seeded fault sampling: reproducibility and common-random-numbers
 nesting, the two properties the campaign layer builds on."""
 
+import dataclasses
+
 import pytest
 
-from repro.config import FaultModelConfig, small_test_system
+from repro.config import FaultModelConfig, pimnet_sim_system, small_test_system
+from repro.config.faults import FAULT_KINDS
 from repro.errors import FaultConfigError, FaultError
 from repro.faults import (
     FaultEvent,
@@ -14,6 +17,7 @@ from repro.faults import (
     corruption_uniforms,
     sample_fault_set,
 )
+from repro.faults.model import _forced_events
 
 SYSTEM = small_test_system().system
 
@@ -143,6 +147,101 @@ class TestNesting:
     def test_corruption_uniforms_negative_count_rejected(self):
         with pytest.raises(FaultError):
             corruption_uniforms(seed=0, num_flits=-1)
+
+
+def _scalar_fault_set(model, system, seed, targets=()):
+    """The sampler as one scalar draw per component field, in topology
+    order: the oracle for the vector draw in :func:`sample_fault_set`."""
+    rng = component_rng(seed)
+    events = []
+    for r in range(system.ranks_per_channel):
+        for c in range(system.chips_per_rank):
+            for b in range(system.banks_per_chip):
+                u_fail = rng.random()
+                u_straggle = rng.random()
+                v_severity = rng.random()
+                if u_fail < model.bank_fail_stop_rate:
+                    events.append(
+                        FaultEvent("bank_fail_stop", bank_name(r, c, b))
+                    )
+                if u_straggle < model.bank_straggler_rate:
+                    severity = 1.0 + (model.straggler_severity - 1.0) * (
+                        0.5 + 0.5 * v_severity
+                    )
+                    events.append(
+                        FaultEvent(
+                            "bank_straggler", bank_name(r, c, b), severity
+                        )
+                    )
+    for r in range(system.ranks_per_channel):
+        for c in range(system.chips_per_rank):
+            u_fail = rng.random()
+            u_degrade = rng.random()
+            if u_fail < model.chip_link_fail_rate:
+                events.append(FaultEvent("chip_link_failed", chip_name(r, c)))
+            elif u_degrade < model.chip_link_degrade_rate:
+                events.append(
+                    FaultEvent(
+                        "chip_link_degraded",
+                        chip_name(r, c),
+                        model.chip_link_degrade_factor,
+                    )
+                )
+    u_bus = rng.random()
+    if u_bus < model.rank_bus_stall_rate:
+        events.append(FaultEvent("rank_bus_stall", "bus"))
+    events.extend(_forced_events(targets, system, model))
+    events.sort(key=lambda e: (e.kind, e.component))
+    return FaultSet(events=tuple(dict.fromkeys(events)))
+
+
+#: Small base rates: x1 samples a few faults on the default system, x50
+#: fires every kind (failed and degraded chip links side by side), and
+#: x1000 clamps every rate to 1.0 so each chip link fails, none degrade.
+ORACLE_MODEL = FaultModelConfig(
+    bank_fail_stop_rate=2e-3,
+    bank_straggler_rate=5e-3,
+    straggler_severity=3.0,
+    chip_link_fail_rate=4e-3,
+    chip_link_degrade_rate=1e-2,
+    rank_bus_stall_rate=1e-2,
+)
+DEFAULT_SYSTEM = pimnet_sim_system().system
+ONE_RANK_SYSTEM = dataclasses.replace(DEFAULT_SYSTEM, ranks_per_channel=1)
+#: Fewer chips than banks per chip, so a swapped index split shows.
+NARROW_SYSTEM = dataclasses.replace(DEFAULT_SYSTEM, chips_per_rank=4)
+SAMPLED_KINDS = set(FAULT_KINDS) - {"flit_corruption"}
+
+
+class TestVectorDrawOracle:
+    """The one vector draw gives the fault sets of the scalar draws."""
+
+    @pytest.mark.parametrize(
+        "factor, kinds",
+        [
+            (0, set()),
+            (1, None),
+            (50, SAMPLED_KINDS),
+            (1e3, SAMPLED_KINDS - {"chip_link_degraded"}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "system",
+        [DEFAULT_SYSTEM, ONE_RANK_SYSTEM, NARROW_SYSTEM],
+        ids=["default", "one-rank", "narrow"],
+    )
+    def test_vector_sampler_matches_scalar_draws(self, system, factor, kinds):
+        model = ORACLE_MODEL.scaled(factor)
+        sampled = set()
+        for targets in ((), ("bank:0:1:2", "chip:0:3", "bus")):
+            for seed in range(50):
+                expected = _scalar_fault_set(model, system, seed, targets)
+                got = sample_fault_set(model, system, seed, targets)
+                assert got == expected, (seed, targets)
+                if not targets:
+                    sampled |= {e.kind for e in got.events}
+        if kinds is not None:
+            assert sampled == kinds
 
 
 class TestForcedTargets:

@@ -28,6 +28,30 @@ class TestLinkBusyAccounting:
             10 * link.cycles_per_flit
         )
 
+    def test_flit_hops_count_every_link_traversal(self):
+        """One hop per flit per path link: 10 flits over 1 ring link,
+        3 and 5 flits over 5-link io/dq/bus paths, 10 + 15 + 25 hops."""
+        shape = Shape(2, 2, 2)
+        net = NocNetwork(shape)
+        messages = [
+            Message(msg_id=0, src=0, dst=shape.dpu(0, 0, 1), num_flits=10),
+            Message(
+                msg_id=1,
+                src=shape.dpu(1, 1, 0),
+                dst=shape.dpu(0, 1, 1),
+                num_flits=3,
+            ),
+            Message(
+                msg_id=2,
+                src=shape.dpu(0, 1, 1),
+                dst=shape.dpu(1, 0, 0),
+                num_flits=5,
+            ),
+        ]
+        assert [len(net.path(m.src, m.dst)) for m in messages] == [1, 5, 5]
+        stats = NocSimulator(net, messages).run()
+        assert stats.total_flit_hops == 50
+
     def test_utilization_bounded(self):
         shape = Shape(2, 2, 2)
         stats = run_scheduled(shape, allreduce_schedule(shape, 64))

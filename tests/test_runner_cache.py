@@ -9,25 +9,35 @@ a miss (dropped and recomputed), never an error.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collectives.patterns import Collective, ReduceOp
 from repro.config import RunnerConfig, pimnet_sim_system
+from repro.config.presets import small_test_system, upmem_server
 from repro.errors import ConfigurationError, ReproError, RunnerError
 from repro.runner import (
+    CACHE_VERSION,
     ResultCache,
     cache_key,
     canonical_json,
     canonicalize,
     code_fingerprint,
+    key_prefix,
     run_experiment,
 )
 
 MACHINE = pimnet_sim_system()
 CODE = "f" * 64
+
+
+def _key(experiment_id, machine, params, code=CODE):
+    return cache_key(key_prefix(experiment_id, machine, code), params)
 
 
 def _leaf_paths(value, prefix=()):
@@ -92,14 +102,14 @@ def _mutated_machine(path, leaf, delta=1):
 class TestKeySensitivity:
     def test_every_machine_leaf_field_is_load_bearing(self):
         """Perturbing ANY leaf of the config tree must change the key."""
-        base = cache_key("exp", MACHINE, {}, code=CODE)
+        base = _key("exp", MACHINE, {})
         tested = 0
         for path, leaf in _leaf_paths(MACHINE):
             machine = _mutated_machine(path, leaf)
             if machine is None:
                 continue
             tested += 1
-            assert cache_key("exp", machine, {}, code=CODE) != base, path
+            assert _key("exp", machine, {}) != base, path
         # The tree has dozens of leaves; the sweep must cover most.
         assert tested >= 0.8 * len(LEAF_PATHS)
 
@@ -113,7 +123,7 @@ class TestKeySensitivity:
         machine = _mutated_machine(path, base_leaf, delta)
         if machine is None:
             return  # no valid perturbation for this (field, delta)
-        assert cache_key("exp", machine, {}, code=CODE) != cache_key(
+        assert _key("exp", machine, {}) != _key(
             "exp", MACHINE, {}, code=CODE
         )
 
@@ -132,16 +142,16 @@ class TestKeySensitivity:
     @given(params=_params, extra=st.integers())
     @settings(max_examples=50, deadline=None)
     def test_any_param_change_changes_key(self, params, extra):
-        base = cache_key("exp", MACHINE, params, code=CODE)
+        base = _key("exp", MACHINE, params)
         changed = dict(params)
         changed["__extra__"] = extra
-        assert cache_key("exp", MACHINE, changed, code=CODE) != base
+        assert _key("exp", MACHINE, changed) != base
 
     @given(params=_params)
     @settings(max_examples=50, deadline=None)
     def test_param_key_order_is_irrelevant(self, params):
         reversed_params = dict(reversed(list(params.items())))
-        assert cache_key("exp", MACHINE, params, code=CODE) == cache_key(
+        assert _key("exp", MACHINE, params) == _key(
             "exp", MACHINE, reversed_params, code=CODE
         )
 
@@ -173,26 +183,104 @@ class TestKeySensitivity:
         )
 
     def test_experiment_id_and_code_fingerprint_change_key(self):
-        base = cache_key("exp", MACHINE, {"a": 1}, code=CODE)
-        assert cache_key("exp2", MACHINE, {"a": 1}, code=CODE) != base
-        assert cache_key("exp", MACHINE, {"a": 1}, code="0" * 64) != base
+        base = _key("exp", MACHINE, {"a": 1})
+        assert _key("exp2", MACHINE, {"a": 1}) != base
+        assert _key("exp", MACHINE, {"a": 1}, code="0" * 64) != base
 
     def test_default_code_fingerprint_is_used_when_omitted(self):
-        assert cache_key("exp", MACHINE, {}) == cache_key(
+        assert cache_key(key_prefix("exp", MACHINE), {}) == _key(
             "exp", MACHINE, {}, code=code_fingerprint()
         )
 
     def test_unencodable_param_raises_instead_of_guessing(self):
         with pytest.raises(RunnerError):
-            cache_key("exp", MACHINE, {"bad": object()}, code=CODE)
+            _key("exp", MACHINE, {"bad": object()})
         with pytest.raises(RunnerError):
             canonicalize(object())
+
+
+#: Keys pinned byte for byte, as the SHA-256 of the whole payload's
+#: canonical JSON gives them: a changed key orphans every warm cache
+#: already on disk.
+PINNED_CODE = "0123456789abcdef" * 4
+PINNED_KEYS = [
+    (
+        "fig11",
+        pimnet_sim_system(),
+        {},
+        "89ec127f1e566e7d5df09c66259787ddaf5dd768d8a89734501c4aa19fe296ba",
+    ),
+    (
+        "fault_sweep",
+        small_test_system(),
+        {"seed": 7, "rate": 0.5, "trials": 40},
+        "a3ef7eb781905d9bf66c6704a3ac82ea156e683e14ce9990095e855bf075695c",
+    ),
+    (
+        "fig03",
+        upmem_server(),
+        {
+            "collective": Collective.ALL_REDUCE,
+            "op": ReduceOp.SUM,
+            "dtype": np.dtype("int32"),
+        },
+        "52640b76bd530c296ebb439525f24ffa36b66928e8087448aaac25fce8ad5873",
+    ),
+    (
+        "conformance",
+        pimnet_sim_system(),
+        {
+            "shape": {
+                "ranks": 2,
+                "chips": [1, 2.5, None],
+                "nested": {"b": True, "a": "x"},
+            },
+            "n": np.int64(3),
+        },
+        "1bfd3c77d86b186ff0686a5c92b8c39cee6716eb7cbe11062a7df728f7c0b4d0",
+    ),
+    (
+        "exp",
+        pimnet_sim_system(),
+        {
+            "by_op": {ReduceOp.MAX: 1, ReduceOp.SUM: 2},
+            "dt": np.dtype("float64"),
+        },
+        "e51894f4ad27082be7189fba0aef37b90b1fbe1fe7ff4fbdf9d7584440d6074f",
+    ),
+]
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize(
+        "experiment_id, machine, params, expected",
+        PINNED_KEYS,
+        ids=[f"{case[0]}-{i}" for i, case in enumerate(PINNED_KEYS)],
+    )
+    def test_key_bytes_are_pinned(
+        self, experiment_id, machine, params, expected
+    ):
+        assert _key(experiment_id, machine, params, PINNED_CODE) == expected
+
+    def test_prefixed_key_is_the_hash_of_the_whole_payload(self):
+        params = {"by_op": {ReduceOp.MAX: 1}, "n": 2}
+        payload = canonical_json(
+            {
+                "cache_version": CACHE_VERSION,
+                "code": PINNED_CODE,
+                "experiment": "exp",
+                "machine": MACHINE,
+                "params": params,
+            }
+        )
+        expected = hashlib.sha256(payload.encode()).hexdigest()
+        assert _key("exp", MACHINE, params, PINNED_CODE) == expected
 
 
 class TestCorruptionHandling:
     def _seeded_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        key = cache_key("exp", MACHINE, {"n": 1}, code=CODE)
+        key = _key("exp", MACHINE, {"n": 1})
         path = cache.put("exp", key, {"answer": 42}, params={"n": 1})
         return cache, key, path
 
@@ -231,7 +319,7 @@ class TestCorruptionHandling:
 
     def test_entry_under_wrong_address_is_corrupt(self, tmp_path):
         cache, key, path = self._seeded_cache(tmp_path)
-        other_key = cache_key("exp", MACHINE, {"n": 2}, code=CODE)
+        other_key = _key("exp", MACHINE, {"n": 2})
         path.rename(cache.path_for("exp", other_key))
         hit, _ = cache.get("exp", other_key)
         assert not hit

@@ -170,6 +170,22 @@ class TestFallbackBoundaries:
         assert profile.supports(too_big)
         assert not profile.exact_for(too_big)
 
+    def test_exactness_bound_is_exclusive(self):
+        """A replay peak of exactly ``MAX_EXACT_BYTES`` is not exact."""
+        profile = _profile_for(Collective.ALL_REDUCE, SHAPES[0])
+        # Every step's peak is at most 4 bytes per element (8-byte items,
+        # 2 units of E // 4), so E = 2**51 peaks at exactly 2**53 bytes.
+        peak_per_element = max(
+            max(s.peak_units, s.port_units, s.bus_units)
+            * profile.itemsize
+            / s.divisor
+            for s in profile.steps
+        )
+        assert peak_per_element == 4
+        at_bound = MAX_EXACT_BYTES // 4
+        assert not profile.exact_for(at_bound)
+        assert profile.exact_for(at_bound - 4)
+
     def test_supports_rejects_non_multiples(self):
         profile = _profile_for(Collective.ALL_TO_ALL, SHAPES[-1])
         assert profile.supports(SHAPES[-1].num_dpus * 3)
