@@ -56,7 +56,6 @@ from .service import CollectiveService, ServiceResponse
 from .fleet import FleetResponse, FleetRouter
 from .config import TraceConfig
 from .errors import ReproError
-from .machine import PimMachine
 from .observability import (
     Instrumentation,
     MetricsRegistry,
@@ -96,7 +95,6 @@ __all__ = [
     "ServiceResponse",
     "FleetResponse",
     "FleetRouter",
-    "PimMachine",
     "ReproError",
     "Instrumentation",
     "MetricsRegistry",

@@ -28,11 +28,6 @@ from .multitenancy import (
     run_multitenancy,
 )
 from .roofline import RooflineModel, RooflinePoint, RooflineSeries
-from .utilization import (
-    TierUtilization,
-    UtilizationReport,
-    schedule_utilization,
-)
 
 __all__ = [
     "COMM_COMPONENTS",
@@ -57,7 +52,4 @@ __all__ = [
     "RooflineModel",
     "RooflinePoint",
     "RooflineSeries",
-    "TierUtilization",
-    "UtilizationReport",
-    "schedule_utilization",
 ]

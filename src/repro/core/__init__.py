@@ -34,7 +34,6 @@ from .api import (
 )
 from .collectives import PIMNET_ALGORITHMS, TierAlgorithm, algorithm_chain
 from .pimnet import PimnetBackend
-from .program import PimInstruction, PimOp, generate_programs, run_programs
 from .schedule import (
     CommSchedule,
     Phase,
@@ -63,7 +62,6 @@ from .timeline import (
     TimelineEntry,
     allreduce_timeline,
     format_timeline,
-    propagate_stragglers,
 )
 from .timing import PimnetTimingModel, TierTimes
 from .validate import (
@@ -93,10 +91,6 @@ __all__ = [
     "TierAlgorithm",
     "algorithm_chain",
     "PimnetBackend",
-    "PimInstruction",
-    "PimOp",
-    "generate_programs",
-    "run_programs",
     "CommSchedule",
     "Phase",
     "ScheduleChain",
@@ -124,7 +118,6 @@ __all__ = [
     "TimelineEntry",
     "allreduce_timeline",
     "format_timeline",
-    "propagate_stragglers",
     "PimnetTimingModel",
     "TierTimes",
     "validate_bounds",

@@ -9,7 +9,6 @@ consistent with the closed-form phase durations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..collectives.patterns import Collective, CollectiveRequest
 from ..config.presets import MachineConfig, pimnet_sim_system
@@ -94,54 +93,6 @@ def allreduce_timeline(
     timeline = CollectiveTimeline(entries=tuple(entries), sync_s=sync_s)
     _emit_timeline_spans(timeline, payload_bytes, shape.num_dpus)
     return timeline
-
-
-def propagate_stragglers(
-    timeline: CollectiveTimeline,
-    domain_factors: Mapping[str, float],
-    extra_sync_s: float = 0.0,
-) -> CollectiveTimeline:
-    """The timeline re-rendered with straggler slowdowns propagated.
-
-    ``domain_factors`` maps a tier domain (``"bank"``, ``"chip"``,
-    ``"rank"``) to a duration multiplier (>= 1) — the timing-jitter
-    model of a slow DPU dragging its tier's bulk-synchronous phase.
-    Because every phase WAITs on its predecessor, stretching one phase
-    pushes the start of *every* later phase: the delay propagates down
-    the schedule instead of being absorbed, which is exactly why the
-    paper's buffer-less fabric needs fault detection rather than local
-    retry.  Original inter-phase gaps are preserved.
-    """
-    for domain, factor in domain_factors.items():
-        if factor < 1.0:
-            raise ScheduleError(
-                f"straggler factor for domain {domain!r} must be >= 1, "
-                f"got {factor}"
-            )
-    if extra_sync_s < 0:
-        raise ScheduleError("extra_sync_s must be >= 0")
-    ordered = sorted(timeline.entries, key=lambda e: (e.start_s, e.domain))
-    stretched: list[TimelineEntry] = []
-    cursor = 0.0
-    prev_end = 0.0
-    for i, entry in enumerate(ordered):
-        gap = max(0.0, entry.start_s - prev_end) if i else entry.start_s
-        start = cursor + gap
-        duration = entry.duration_s * domain_factors.get(entry.domain, 1.0)
-        stretched.append(
-            TimelineEntry(
-                domain=entry.domain,
-                phase=entry.phase,
-                start_s=start,
-                end_s=start + duration,
-            )
-        )
-        cursor = start + duration
-        prev_end = entry.end_s
-    return CollectiveTimeline(
-        entries=tuple(stretched),
-        sync_s=timeline.sync_s + extra_sync_s,
-    )
 
 
 def _emit_timeline_spans(

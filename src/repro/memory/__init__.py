@@ -1,13 +1,10 @@
-"""DRAM substrate: sparse memories, bank DMA, DDR channel, address map."""
+"""DRAM substrate: sparse memories, bank DMA, DDR channel."""
 
-from .address import AddressMap, BankSlice
 from .bank import BankMemory, DmaTransfer
 from .channel import ChannelTransfer, DdrChannel
 from .sparse import SparseMemory
 
 __all__ = [
-    "AddressMap",
-    "BankSlice",
     "BankMemory",
     "DmaTransfer",
     "ChannelTransfer",

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import Collective, CollectiveRequest
-from repro.config import (
-    pimnet_sim_system,
-    small_test_system,
-    upmem_server,
-)
+from repro.config import pimnet_sim_system
 from repro.core import (
     AllReduceAddressGenerator,
     PimnetBackend,
@@ -16,7 +12,6 @@ from repro.core import (
     alltoall_send_addresses,
 )
 from repro.errors import ScheduleError
-from repro.memory import AddressMap
 
 
 @pytest.fixture
@@ -141,14 +136,6 @@ class TestAllToAllAddresses:
 # never alias distinct (rank, chip, bank, offset) tuples.
 # ---------------------------------------------------------------------------
 
-#: All preset machine geometries (Table VI sim system, real UPMEM
-#: server, and the tiny test machine).
-PRESET_SYSTEMS = {
-    "small_test_system": small_test_system().system,
-    "pimnet_sim_system": pimnet_sim_system().system,
-    "upmem_server": upmem_server().system,
-}
-
 hyp_dims = st.integers(min_value=1, max_value=5)
 hyp_shapes = st.builds(Shape, banks=hyp_dims, chips=hyp_dims, ranks=hyp_dims)
 
@@ -223,38 +210,3 @@ class TestAllReducePlanProperties:
                 assert address not in seen
                 seen.add(address)
 
-
-class TestAddressMapProperties:
-    @pytest.mark.parametrize(
-        "system", PRESET_SYSTEMS.values(), ids=PRESET_SYSTEMS.keys()
-    )
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_locate_round_trips(self, system, data):
-        """locate() is invertible: (dpu, mram_offset) determines the
-        host address, so two distinct host bytes can never land on the
-        same bank byte."""
-        amap = AddressMap(system)
-        address = data.draw(
-            st.integers(min_value=0, max_value=amap.total_bytes - 1)
-        )
-        dpu, offset = amap.locate(address)
-        assert 0 <= dpu < system.total_dpus
-        assert 0 <= offset < system.dpu.mram_bytes
-        stripe, within = divmod(offset, amap.interleave_bytes)
-        rebuilt = (
-            stripe * system.total_dpus + dpu
-        ) * amap.interleave_bytes + within
-        assert rebuilt == address
-
-    @pytest.mark.parametrize(
-        "system", PRESET_SYSTEMS.values(), ids=PRESET_SYSTEMS.keys()
-    )
-    def test_first_blocks_never_alias(self, system):
-        """Directed: one interleave block per DPU — all distinct."""
-        amap = AddressMap(system)
-        targets = {
-            amap.locate(block * amap.interleave_bytes)
-            for block in range(system.total_dpus)
-        }
-        assert len(targets) == system.total_dpus

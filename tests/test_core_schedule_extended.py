@@ -118,20 +118,3 @@ class TestGatherSchedule:
         with pytest.raises(ScheduleError):
             gather_schedule(Shape(2, 2, 2), 8, root=-1)
 
-
-class TestProgramsForExtendedSchedules:
-    def test_allgather_program_round_trip(self, rng):
-        from repro.core import generate_programs, run_programs
-
-        shape = Shape(2, 2, 1)
-        buffers = make_buffers(shape.num_dpus, 4, rng)
-        programs = generate_programs(allgather_schedule(shape, 4))
-        out = run_programs(programs, buffers)
-        ref = functional.execute(
-            CollectiveRequest(
-                Collective.ALL_GATHER, 4 * 8, dtype=np.dtype(np.int64)
-            ),
-            buffers,
-        )
-        for a, b in zip(out, ref):
-            assert np.array_equal(a, b)

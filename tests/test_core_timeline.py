@@ -90,61 +90,3 @@ class TestRendering:
         starts = [line.index("#") for line in lines]
         assert starts == sorted(starts)
 
-
-class TestPropagateStragglers:
-    """Satellite of ``repro.faults``: a stretched phase pushes the start
-    of every later phase — delays propagate instead of being absorbed."""
-
-    def test_identity_with_no_factors(self, timeline):
-        from repro.core import propagate_stragglers
-
-        out = propagate_stragglers(timeline, {})
-        assert out.total_s == pytest.approx(timeline.total_s)
-        for before, after in zip(
-            sorted(timeline.entries, key=lambda e: (e.start_s, e.domain)),
-            out.entries,
-        ):
-            assert after.start_s == pytest.approx(before.start_s)
-            assert after.duration_s == pytest.approx(before.duration_s)
-
-    def test_bank_slowdown_pushes_every_later_phase(self, timeline):
-        from repro.core import propagate_stragglers
-
-        out = propagate_stragglers(timeline, {"bank": 2.0})
-        first = out.entries[0]
-        assert first.domain == "bank"
-        assert first.duration_s == pytest.approx(
-            2.0 * timeline.entries[0].duration_s
-        )
-        # Every phase after the stretched opener starts strictly later.
-        base = sorted(
-            timeline.entries, key=lambda e: (e.start_s, e.domain)
-        )
-        for before, after in zip(base[1:], out.entries[1:]):
-            assert after.start_s > before.start_s
-
-    def test_total_grows_with_any_factor(self, timeline):
-        from repro.core import propagate_stragglers
-
-        for domain in ("bank", "chip", "rank"):
-            out = propagate_stragglers(timeline, {domain: 1.5})
-            assert out.total_s > timeline.total_s
-
-    def test_extra_sync_adds_to_sync_tail(self, timeline):
-        from repro.core import propagate_stragglers
-
-        out = propagate_stragglers(timeline, {}, extra_sync_s=5e-6)
-        assert out.sync_s == pytest.approx(timeline.sync_s + 5e-6)
-        assert out.total_s == pytest.approx(timeline.total_s + 5e-6)
-
-    def test_factor_below_one_rejected(self, timeline):
-        from repro.core import propagate_stragglers
-
-        with pytest.raises(ScheduleError, match=">= 1"):
-            propagate_stragglers(timeline, {"bank": 0.5})
-
-    def test_negative_extra_sync_rejected(self, timeline):
-        from repro.core import propagate_stragglers
-
-        with pytest.raises(ScheduleError, match="extra_sync"):
-            propagate_stragglers(timeline, {}, extra_sync_s=-1e-9)

@@ -252,6 +252,20 @@ class TestDegenerateRuns:
         with pytest.raises(SimulationError, match="exceeded"):
             NocSimulator(net, [msg]).run(max_cycles=1000)
 
+    @pytest.mark.parametrize("loop", ["_run", "_run_reference"])
+    def test_max_cycles_bound_is_exact(self, loop):
+        """A run that needs N cycles finishes under ``max_cycles=N`` and
+        raises under ``N - 1``: the guard admits cycles ``0..N-1`` only."""
+        net = NocNetwork(Shape(2, 2, 1))
+        messages = [
+            Message(msg_id=i, src=i, dst=(i + 1) % 4, num_flits=3)
+            for i in range(4)
+        ]
+        stats = getattr(NocSimulator(net, list(messages)), loop)(157)
+        assert stats.cycles == 157
+        with pytest.raises(SimulationError, match="exceeded 156 cycles"):
+            getattr(NocSimulator(net, list(messages)), loop)(156)
+
 
 class TestEventAccounting:
     def test_idle_cycles_actually_skipped(self):

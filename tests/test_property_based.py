@@ -10,7 +10,6 @@ from repro.collectives import (
     ReduceOp,
     functional,
 )
-from repro.config import PimSystemConfig
 from repro.core import (
     Shape,
     allreduce_schedule,
@@ -18,8 +17,7 @@ from repro.core import (
     execute_schedule,
     owned_range,
 )
-from repro.memory import AddressMap, SparseMemory
-from repro.topology import Topology
+from repro.memory import SparseMemory
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -193,68 +191,3 @@ class TestMemoryProperties:
             shadow[address : address + len(data)] = data
         assert bytes(mem.read(0, 8192)) == bytes(shadow)
 
-    @given(
-        start=st.integers(min_value=0, max_value=10_000),
-        length=st.integers(min_value=0, max_value=5_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_address_map_slices_are_a_partition(self, start, length):
-        amap = AddressMap(
-            PimSystemConfig(
-                banks_per_chip=2, chips_per_rank=2, ranks_per_channel=2
-            ),
-            interleave_bytes=256,
-        )
-        slices = amap.slices(start, length)
-        assert sum(s.length for s in slices) == length
-        cursor = 0
-        for s in slices:
-            assert s.host_offset == cursor
-            cursor += s.length
-            # each slice must agree with pointwise locate()
-            dpu, offset = amap.locate(start + s.host_offset)
-            assert (dpu, offset) == (s.dpu_id, s.mram_offset)
-
-
-# ---------------------------------------------------------------------------
-# topology
-# ---------------------------------------------------------------------------
-
-
-class TestTopologyProperties:
-    @given(
-        banks=st.integers(min_value=1, max_value=8),
-        chips=st.integers(min_value=1, max_value=8),
-        ranks=st.integers(min_value=1, max_value=4),
-        channels=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_coord_bijection(self, banks, chips, ranks, channels):
-        topo = Topology(
-            PimSystemConfig(
-                banks_per_chip=banks,
-                chips_per_rank=chips,
-                ranks_per_channel=ranks,
-                num_channels=channels,
-            )
-        )
-        ids = {topo.dpu_id(c) for c in topo.all_coords()}
-        assert ids == set(range(topo.config.total_dpus))
-
-    @given(
-        banks=st.integers(min_value=2, max_value=8),
-        start=st.integers(min_value=0, max_value=7),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_ring_walk_returns_home(self, banks, start):
-        start = start % banks
-        topo = Topology(PimSystemConfig(banks_per_chip=banks))
-        dpu = topo.dpu_id(
-            __import__(
-                "repro.topology", fromlist=["BankCoord"]
-            ).BankCoord(0, 0, 0, start)
-        )
-        cursor = dpu
-        for _ in range(banks):
-            cursor = topo.ring_neighbor(cursor, +1)
-        assert cursor == dpu

@@ -32,7 +32,7 @@ class TestPackageSurface:
             "pimnet_all_reduce", "pimnet_reduce_scatter",
             "pimnet_all_gather", "pimnet_all_to_all",
             "pimnet_broadcast", "pimnet_reduce", "pimnet_gather",
-            "PimMachine", "PimnetBackend", "registry",
+            "PimnetBackend", "registry",
             "pimnet_sim_system", "upmem_server",
         ):
             assert name in repro.__all__, name
