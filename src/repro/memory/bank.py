@@ -8,8 +8,6 @@ between the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..config.system import DpuConfig
@@ -18,22 +16,10 @@ from ..errors import MemoryModelError
 from .sparse import SparseMemory
 
 
-@dataclass(frozen=True)
-class DmaTransfer:
-    """Record of one MRAM<->WRAM DMA transfer and its modeled latency."""
-
-    direction: str  # "mram_to_wram" | "wram_to_mram"
-    mram_address: int
-    wram_address: int
-    length: int
-    time_s: float
-
-
 class BankMemory:
     """Functional + timing model of one PIM bank's memories."""
 
-    #: Minimum/maximum DMA burst supported by the UPMEM DMA engine.
-    DMA_MIN_BYTES = 8
+    #: Maximum DMA burst supported by the UPMEM DMA engine.
     DMA_MAX_BYTES = 2048
 
     def __init__(
@@ -47,52 +33,13 @@ class BankMemory:
         self.dma_bandwidth_bytes_per_s = dma_bandwidth_bytes_per_s
         #: Fixed DMA setup latency per transfer (engine programming).
         self.dma_setup_s = 100e-9
-        self.transfers: list[DmaTransfer] = []
 
     # -- DMA --------------------------------------------------------------------
-    def _check_dma(self, length: int) -> None:
-        if length % 8 != 0:
-            raise MemoryModelError(
-                f"DMA length must be 8-byte aligned, got {length}"
-            )
-        if length < self.DMA_MIN_BYTES:
-            raise MemoryModelError(
-                f"DMA length must be >= {self.DMA_MIN_BYTES}, got {length}"
-            )
-
     def _dma_time(self, length: int) -> float:
         bursts = -(-length // self.DMA_MAX_BYTES)  # ceil division
         return bursts * self.dma_setup_s + transfer_time(
             length, self.dma_bandwidth_bytes_per_s
         )
-
-    def dma_to_wram(
-        self, mram_address: int, wram_address: int, length: int
-    ) -> DmaTransfer:
-        """Copy ``length`` bytes MRAM -> WRAM; returns the timed transfer."""
-        self._check_dma(length)
-        data = self.mram.read(mram_address, length)
-        self.wram.write(wram_address, data)
-        record = DmaTransfer(
-            "mram_to_wram", mram_address, wram_address, length,
-            self._dma_time(length),
-        )
-        self.transfers.append(record)
-        return record
-
-    def dma_to_mram(
-        self, wram_address: int, mram_address: int, length: int
-    ) -> DmaTransfer:
-        """Copy ``length`` bytes WRAM -> MRAM; returns the timed transfer."""
-        self._check_dma(length)
-        data = self.wram.read(wram_address, length)
-        self.mram.write(mram_address, data)
-        record = DmaTransfer(
-            "wram_to_mram", mram_address, wram_address, length,
-            self._dma_time(length),
-        )
-        self.transfers.append(record)
-        return record
 
     # -- staging model for collectives -------------------------------------------
     def staging_time(self, payload_bytes: int, reserved_wram: int = 8192) -> float:

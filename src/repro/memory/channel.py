@@ -90,7 +90,3 @@ class DdrChannel:
         return self._record(
             "cpu_to_pim_broadcast", payload_bytes, num_ranks, time_s
         )
-
-    def at_max_bandwidth(self, total_bytes: float) -> float:
-        """Serialization time at the full channel bandwidth (Max-DRAM-BW)."""
-        return transfer_time(total_bytes, self.host_links.max_channel_bytes_per_s)

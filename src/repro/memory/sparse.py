@@ -88,12 +88,3 @@ class SparseMemory:
         dt = np.dtype(dtype)
         raw = self.read(address, count * dt.itemsize)
         return raw.view(dt).copy()
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of host memory actually allocated for this model."""
-        return len(self._pages) * self.page_bytes
-
-    def clear(self) -> None:
-        """Drop all written data (everything reads as zero again)."""
-        self._pages.clear()

@@ -73,8 +73,8 @@ class SimStats:
 
     ``events_processed`` counts the cycles whose state the simulator
     actually evaluated and ``idle_cycles_skipped`` the cycles it
-    fast-forwarded over; the naive reference loop reports
-    ``events_processed == cycles`` and zero skipped.  ``grant_log`` /
+    fast-forwarded over (``events_processed + idle_cycles_skipped ==
+    cycles``).  ``grant_log`` /
     ``medium_grant_log`` record per-output-port and per-medium grant
     sequences, and are only populated when the simulator is constructed
     with ``record_grants=True`` (they exist for fairness tests).
@@ -111,13 +111,3 @@ class SimStats:
         if self.cycles <= 0:
             return 0.0
         return min(1.0, self.link_busy_cycles.get(name, 0) / self.cycles)
-
-    def hottest_links(self, top: int = 5) -> list[tuple[str, float]]:
-        """The most-utilized links, for locating bottlenecks."""
-        ranked = sorted(
-            self.link_busy_cycles.items(), key=lambda kv: -kv[1]
-        )
-        return [
-            (name, self.link_utilization(name))
-            for name, _ in ranked[:top]
-        ]

@@ -1,7 +1,6 @@
 """Links, shared media, and input-buffered router state.
 
-Both simulator loops (the event-driven production loop and the naive
-reference loop kept for equivalence testing) drive the same primitives:
+The event-driven simulator loop drives these primitives:
 
 * :class:`Link.start_traversal` returns the arrival cycle so the caller
   can feed an event heap instead of polling ``in_flight`` every cycle;
@@ -45,11 +44,6 @@ class SharedMedium:
 
     def register(self, link: "Link") -> None:
         self.members.append(link)
-
-    def grant_rotation(self) -> list:
-        """Member links in current round-robin priority order."""
-        k = self.rr_index
-        return self.members[k:] + self.members[:k]
 
     def advance_after(self, link: "Link") -> None:
         """Move the grant pointer just past ``link`` (the cycle's grantee)."""

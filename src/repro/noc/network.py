@@ -183,12 +183,6 @@ class NocNetwork:
         r, c, b = self.shape.coords(dpu)
         return f"stop:{r}:{c}:{b}"
 
-    def router_input_links(self, router: str) -> list[Link]:
-        return [l for l in self.links.values() if l.dst_router == router]
-
-    def router_output_links(self, router: str) -> list[Link]:
-        return [l for l in self.links.values() if l.src_router == router]
-
     def reset(self) -> None:
         for link in self.links.values():
             link.reset()

@@ -19,10 +19,9 @@ The production loop (:meth:`NocSimulator.run`) is event-driven: it keeps
 a min-heap of "interesting" cycles (message ready times, flit arrivals,
 link/medium free times, plus the cycle after any state change) and
 fast-forwards between them, touching only routers that hold flits and
-links that have pending arrivals.  The naive cycle-by-cycle loop is kept
-as :meth:`NocSimulator._run_reference`; both share the injection,
-ejection, and arbitration helpers, and equivalence tests hold their
-outputs byte-for-byte equal (see ``docs/NOC.md``).
+links that have pending arrivals.  Equivalence tests hold its output
+byte-for-byte equal to an independent cycle-by-cycle oracle under
+``tests/`` (see ``docs/NOC.md``).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class _InjectionQueue:
 
 
 class _RunState:
-    """Per-run mutable state shared by the event-driven and naive loops."""
+    """Per-run mutable state of the event-driven loop and its helpers."""
 
     __slots__ = (
         "stats",
@@ -207,10 +206,10 @@ class NocSimulator:
     def _record_distributions(self, stats: SimStats) -> None:
         """Post-run distribution metrics, derived from the finished stats.
 
-        Reading the stats object after the fact keeps the cycle loops
+        Reading the stats object after the fact keeps the cycle loop
         untouched: per-link occupancy and per-message latency are
         already accumulated there, so histograms cost nothing on the
-        hot path and the loops stay byte-identical with metrics on.
+        hot path and the loop stays byte-identical with metrics on.
         """
         latency = metric_histogram("noc.message.latency_cycles")
         for cycles in stats.per_message_latency.values():
@@ -293,26 +292,13 @@ class NocSimulator:
         rot = (state.member_pos[link] - medium.rr_index) % len(medium.members)
         return (state.medium_base[medium], rot)
 
-    def _full_arb_order(self, state: _RunState) -> list[Link]:
-        """Every output link in this cycle's arbitration order."""
-        order: list[Link] = []
-        seen: set[SharedMedium] = set()
-        for link in state.links:
-            medium = link.medium
-            if medium is None:
-                order.append(link)
-            elif medium not in seen:
-                seen.add(medium)
-                order.extend(medium.grant_rotation())
-        return order
-
     # -- request tracking ---------------------------------------------------------------
     # Every head-of-queue flit (input buffer or NIC) holds exactly one
     # "request" on its next output link; the event loop arbitrates only
     # requested links.  A request appearing *during* switch allocation
     # (a grant or ejection reveals a new head) joins the in-flight
     # worklist if its position has not been passed yet — exactly the
-    # links the naive loop, which visits every link in order, would
+    # links a loop that visits every link in arbitration order would
     # still reach this cycle.
     def _req_inc(self, state: _RunState, link: Link) -> None:
         count = state.req_count.get(link, 0)
@@ -552,7 +538,7 @@ class NocSimulator:
                         activity = True
 
             # 4. switch allocation over requested output links only,
-            # visited in the same global order as the reference loop;
+            # visited in the global arbitration order (`_arb_sort_key`);
             # requests revealed mid-step join the worklist when their
             # position has not been passed yet.
             if state.requested:
@@ -582,7 +568,6 @@ class NocSimulator:
                     )
                 state.arb_heap = None
                 visited.clear()
-                state.arb_cursor = (-1, -1)
 
             if activity:
                 # State-driven follow-ups (a freed buffer slot, a new
@@ -590,43 +575,6 @@ class NocSimulator:
                 heapq.heappush(events, now + 1)
 
         return self._finalize(state, now + 1)
-
-    # -- naive reference loop ------------------------------------------------------------
-    def _run_reference(self, max_cycles: int = 50_000_000) -> SimStats:
-        """The original busy-spinning O(cycles x links) loop.
-
-        Kept as the behavioural oracle for the event-driven loop: it
-        evaluates every link every cycle, and equivalence tests assert
-        its stats match :meth:`run` byte-for-byte.  Both loops share the
-        injection/delivery/ejection/arbitration helpers, so they differ
-        only in *which cycles and links* they visit.
-        """
-        state = self._prepare()
-        stats = state.stats
-        if state.remaining == 0:
-            return self._finalize(state, 0)
-        now = 0
-        while state.remaining > 0:
-            if now >= max_cycles:
-                raise SimulationError(
-                    f"NoC simulation exceeded {max_cycles} cycles with "
-                    f"{state.remaining} flits outstanding — deadlock or "
-                    "pathological contention"
-                )
-            if state.not_injected:
-                self._scan_injections(state, now)
-            for link in state.links:
-                self._deliver(link, state, now)
-            for link in state.links:
-                buf = link.buffer
-                if buf and buf[0].at_destination:
-                    self._eject(link, state, now)
-            for link in self._full_arb_order(state):
-                if link.can_accept(now):
-                    self._try_grant(link, state, now)
-            now += 1
-        stats.events_processed = now
-        return self._finalize(state, now)
 
     # -- helpers -----------------------------------------------------------------------
     def _nic_dpu(self, router: str) -> int:
@@ -643,9 +591,11 @@ class NocSimulator:
         message.delivered_flits += 1
         state.stats.flits_delivered += 1
         if self.use_barriers:
-            barrier = self._message_barrier.get(message.msg_id, 0)
-            outstanding = state.outstanding
-            if barrier in outstanding:
+            # Only a barrier's own members drain it; a message without a
+            # barrier entry gates as barrier 0 but drains nothing.
+            barrier = self._message_barrier.get(message.msg_id)
+            if barrier is not None:
+                outstanding = state.outstanding
                 outstanding[barrier] -= 1
                 order = state.barrier_order
                 while (

@@ -1,6 +1,5 @@
-"""Bank memory: MRAM/WRAM DMA semantics and staging model."""
+"""Bank memory: DMA timing and the staging model."""
 
-import numpy as np
 import pytest
 
 from repro.config import DpuConfig
@@ -13,65 +12,29 @@ def bank() -> BankMemory:
     return BankMemory(DpuConfig())
 
 
-class TestDmaFunctional:
-    def test_mram_to_wram_copies_data(self, bank):
-        data = np.arange(64, dtype=np.uint8)
-        bank.mram.write(1000, data)
-        bank.dma_to_wram(1000, 0, 64)
-        assert np.array_equal(bank.wram.read(0, 64), data)
-
-    def test_wram_to_mram_copies_data(self, bank):
-        data = np.arange(32, dtype=np.uint8)
-        bank.wram.write(8, data)
-        bank.dma_to_mram(8, 4096, 32)
-        assert np.array_equal(bank.mram.read(4096, 32), data)
-
-    def test_transfers_are_recorded(self, bank):
-        bank.mram.write(0, bytes(16))
-        bank.dma_to_wram(0, 0, 16)
-        bank.dma_to_mram(0, 64, 16)
-        assert [t.direction for t in bank.transfers] == [
-            "mram_to_wram",
-            "wram_to_mram",
-        ]
-
-
-class TestDmaConstraints:
-    def test_unaligned_length_rejected(self, bank):
-        with pytest.raises(MemoryModelError):
-            bank.dma_to_wram(0, 0, 12)
-
-    def test_too_small_rejected(self, bank):
-        with pytest.raises(MemoryModelError):
-            bank.dma_to_wram(0, 0, 0)
-
-    def test_wram_capacity_enforced(self, bank):
-        with pytest.raises(MemoryModelError):
-            bank.dma_to_wram(0, 64 * 1024 - 8, 16)
-
-
 class TestDmaTiming:
+    """The DMA cost that `staging_time` charges for each of its two passes
+    over the WRAM overflow."""
+
     def test_time_grows_with_size(self, bank):
-        bank.mram.write(0, bytes(4096))
-        t_small = bank.dma_to_wram(0, 0, 64).time_s
-        t_large = bank.dma_to_wram(0, 0, 4096).time_s
+        usable = bank.config.wram_bytes - 8192
+        t_small = bank.staging_time(usable + 64)
+        t_large = bank.staging_time(usable + 4096)
         assert t_large > t_small
 
     def test_bandwidth_term(self):
         bank = BankMemory(DpuConfig(), dma_bandwidth_bytes_per_s=1e9)
-        bank.mram.write(0, bytes(2048))
-        record = bank.dma_to_wram(0, 0, 2048)
-        # one max-size burst: setup + serialization
-        assert record.time_s == pytest.approx(
-            bank.dma_setup_s + 2048 / 1e9
+        usable = bank.config.wram_bytes - 8192
+        # one max-size burst per pass: setup + serialization
+        assert bank.staging_time(usable + 2048) == pytest.approx(
+            2 * (bank.dma_setup_s + 2048 / 1e9)
         )
 
     def test_multiple_bursts_pay_multiple_setups(self):
         bank = BankMemory(DpuConfig(), dma_bandwidth_bytes_per_s=1e9)
-        bank.mram.write(0, bytes(4096))
-        record = bank.dma_to_wram(0, 0, 4096)
-        assert record.time_s == pytest.approx(
-            2 * bank.dma_setup_s + 4096 / 1e9
+        usable = bank.config.wram_bytes - 8192
+        assert bank.staging_time(usable + 4096) == pytest.approx(
+            2 * (2 * bank.dma_setup_s + 4096 / 1e9)
         )
 
     def test_zero_bandwidth_rejected(self):

@@ -59,6 +59,3 @@ class TestBookkeeping:
             "cpu_to_pim",
             "cpu_to_pim_broadcast",
         ]
-
-    def test_max_bandwidth_helper(self, channel):
-        assert channel.at_max_bandwidth(19.2e9) == pytest.approx(1.0)

@@ -72,9 +72,10 @@ class TestHotspots:
         rings — the structural bottleneck the paper's Fig 11 shows."""
         shape = Shape(2, 2, 2)
         stats = run_scheduled(shape, alltoall_schedule(shape, 64))
-        hottest = stats.hottest_links(3)
+        busy = stats.link_busy_cycles
+        hottest = sorted(busy, key=busy.__getitem__, reverse=True)[:3]
         assert hottest, "no link stats collected"
-        for name, _ in hottest:
+        for name in hottest:
             assert name.startswith(("dq:", "bus:")), name
 
     def test_allreduce_rings_do_real_work(self):
@@ -88,9 +89,3 @@ class TestHotspots:
             if name.startswith("ring:")
         )
         assert ring_busy > 0
-
-    def test_hottest_links_sorted(self):
-        shape = Shape(2, 2, 2)
-        stats = run_scheduled(shape, alltoall_schedule(shape, 64))
-        utils = [u for _, u in stats.hottest_links(10)]
-        assert utils == sorted(utils, reverse=True)
