@@ -11,9 +11,6 @@ Usage::
     python -m repro run fig13 --seed 7   # override every seeded point
     python -m repro cache stats [--json] # what the result cache holds
     python -m repro cache clear          # drop all cached point results
-    python -m repro schedcache stats     # stored schedule timing profiles
-    python -m repro schedcache compile --shape 8x4x2   # prewarm profiles
-    python -m repro schedcache clear     # drop stored timing profiles
     python -m repro info [--json]        # machine/backend summary
     python -m repro trace allreduce --payload 1MB --out trace.json
     python -m repro faults list          # named resilience campaigns
@@ -39,8 +36,6 @@ import argparse
 import json
 import os
 import sys
-from collections import defaultdict
-from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
@@ -340,73 +335,6 @@ def _cache_stats_text(args, stats) -> str:
     return "\n".join(lines)
 
 
-def _store_dir(args) -> Path:
-    from .schedcache import STORE_NAMESPACE
-
-    return Path(args.cache_dir) / STORE_NAMESPACE
-
-
-def _clear_schedcache(args, config) -> int:
-    import shutil
-
-    removed = sum(1 for _ in _store_dir(args).glob("*.json"))
-    shutil.rmtree(_store_dir(args), ignore_errors=True)
-    return removed
-
-
-def _configure_compile(args):
-    collectives = [_parse_collective(name) for name in args.collective]
-    shapes = [_parse_shape(spec) for spec in args.shape] or [
-        registry.create("P", pimnet_sim_system()).shape
-    ]
-    return collectives or list(Collective), shapes
-
-
-def _compile_schedcache(args, config):
-    from .schedcache import ScheduleCache
-
-    collectives, shapes = config
-    cache = ScheduleCache(store=ResultCache(args.cache_dir))
-    network = pimnet_sim_system().pimnet
-    for shape in shapes:
-        for pattern in collectives:
-            cache.profile(pattern, shape, network)
-    return cache.counters
-
-
-#: How ``repro schedcache stats`` names a stored profile's structure.
-_PROFILE_LABEL = "{collective}@{banks}x{chips}x{ranks}/root{root}/i{itemsize}"
-
-
-def _schedcache_profiles(args, config) -> dict:
-    entries = []
-    for path in sorted(_store_dir(args).glob("*.json")):
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        # A field the entry lacks prints as "?".
-        params = defaultdict(lambda: "?", entry.get("params", {}))
-        entries.append({
-            "structure": _PROFILE_LABEL.format_map(params),
-            "bytes": path.stat().st_size,
-        })
-    return {"root": str(_store_dir(args)), "profiles": entries}
-
-
-def _schedcache_text(args, payload) -> str:
-    lines = [f"schedcache store: {payload['root']}"]
-    if not payload["profiles"]:
-        lines.append(
-            "  (empty; `repro schedcache compile` precompiles profiles)"
-        )
-        return "\n".join(lines)
-    for entry in payload["profiles"]:
-        lines.append(f"  {entry['structure']:40s} {entry['bytes']} bytes")
-    lines.append(f"total: {len(payload['profiles'])} stored profile(s)")
-    return "\n".join(lines)
-
-
 def _parse_collective(name: str) -> Collective:
     normalized = name.strip().lower().replace("-", "").replace("_", "")
     if normalized in _COLLECTIVE_ALIASES:
@@ -420,21 +348,6 @@ def _parse_collective(name: str) -> Collective:
     raise ValueError(
         f"unknown collective {name!r} (try: {', '.join(known)})"
     )
-
-
-def _parse_shape(spec: str):
-    from .core.schedule import Shape
-
-    parts = spec.lower().replace("x", " ").split()
-    if len(parts) != 3:
-        raise ValueError(
-            f"shape must be BANKSxCHIPSxRANKS (e.g. 8x4x2), got {spec!r}"
-        )
-    try:
-        banks, chips, ranks = (int(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"non-integer shape axis in {spec!r}") from None
-    return Shape(banks=banks, chips=chips, ranks=ranks)
 
 
 def _list_campaigns(args, config) -> dict:
@@ -1040,41 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
         cache, "clear", "remove every cached result", "cache_dir",
         execute=lambda args, config: ResultCache(args.cache_dir).clear(),
         text=lambda args, removed: f"cleared {removed} cached result(s)",
-    )
-
-    sched = _group(
-        sub, "schedcache",
-        "inspect, clear, or precompile the schedule-compilation cache",
-    )
-    _subcommand(
-        sched, "stats", "show stored timing profiles", "json", "cache_dir",
-        execute=_schedcache_profiles, text=_schedcache_text,
-    )
-    _subcommand(
-        sched, "clear", "remove every stored timing profile", "cache_dir",
-        execute=_clear_schedcache,
-        text=lambda args, removed: f"cleared {removed} stored profile(s)",
-    )
-    _subcommand(
-        sched, "compile", "precompile timing profiles into the on-disk store",
-        "cache_dir",
-        arguments={
-            "--collective": dict(
-                action="append", metavar="NAME", default=[],
-                help="collective to precompile (repeatable; default: all)",
-            ),
-            "--shape": dict(
-                action="append", metavar="BxCxR", default=[],
-                help="banks x chips x ranks structure (repeatable; "
-                "default: the default machine's shape)",
-            ),
-        },
-        execute=_compile_schedcache, configure=_configure_compile,
-        text=lambda args, counters: (
-            f"compiled {counters.profile_misses} profile(s) "
-            f"({counters.profile_disk_hits} already stored) "
-            f"into {_store_dir(args)}"
-        ),
     )
 
     _subcommand(sub, "info", "show machine/backend summary", "json",

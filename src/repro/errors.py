@@ -142,9 +142,10 @@ class FleetError(ReproError):
 
 
 class SchedCacheError(ReproError):
-    """The schedule-compilation cache was misused or hit a profile it
-    cannot rescale (non-uniform step lengths, unserializable entries).
+    """The schedule-compilation cache was misused or hit a schedule it
+    cannot profile (non-uniform step lengths).
 
     Cache *misses* and out-of-band rescaling are never errors — they
     fall back to fresh compilation; this is raised only for genuine
-    misuse (corrupt profile payloads, invalid capacities)."""
+    misuse (invalid capacities, a replay at a payload the profile
+    cannot rescale to)."""

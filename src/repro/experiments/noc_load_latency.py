@@ -9,8 +9,9 @@ exactly the regime PIMnet's static scheduling is designed to avoid.
 
 Sweeping many offered-load points is what the event-driven cycle loop
 (see ``docs/NOC.md``) exists for; ``high_load_workload`` pins the
-saturating point that ``benchmarks/test_noc_sim.py`` uses to compare it
-against the naive reference loop.
+saturating point at which ``benchmarks/test_noc_sim.py`` times
+:meth:`NocSimulator.run` against the cycle-by-cycle oracle in
+``tests/noc_oracle.py``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def build_point_workload(
     """The network and message list for one offered-load point.
 
     Shared between the registered sweep and ``benchmarks/test_noc_sim.py``,
-    which times the event-driven loop against the naive reference loop
-    on the same workload.
+    which times the event-driven loop against the cycle-by-cycle oracle
+    in ``tests/noc_oracle.py`` on the same workload.
     """
     if rate <= 0:
         raise SimulationError("injection rate must be positive")
@@ -118,7 +119,7 @@ def high_load_workload(
 
     Contention concentrates on the crossbars and the shared bus while
     most ring links idle — exactly the regime where the event-driven
-    loop's active-router tracking pays off over the naive loop's
+    loop's active-router tracking pays off over the oracle's
     every-link-every-cycle scan.
     """
     return build_point_workload(

@@ -28,7 +28,6 @@ class BankMemory:
         if dma_bandwidth_bytes_per_s <= 0:
             raise MemoryModelError("DMA bandwidth must be positive")
         self.config = config
-        self.mram = SparseMemory(config.mram_bytes)
         self.wram = SparseMemory(config.wram_bytes, page_bytes=1024)
         self.dma_bandwidth_bytes_per_s = dma_bandwidth_bytes_per_s
         #: Fixed DMA setup latency per transfer (engine programming).

@@ -39,7 +39,6 @@ class DdrChannel:
         self.host_links = host_links
         self.host = host
         self.ideal = ideal
-        self.transfers: list[ChannelTransfer] = []
 
     def _overhead(self, num_ranks: int) -> float:
         if self.ideal:
@@ -49,13 +48,6 @@ class DdrChannel:
             + num_ranks * self.host.per_rank_transfer_overhead_s
         )
 
-    def _record(
-        self, direction: str, total_bytes: float, num_ranks: int, time_s: float
-    ) -> ChannelTransfer:
-        record = ChannelTransfer(direction, total_bytes, num_ranks, time_s)
-        self.transfers.append(record)
-        return record
-
     def pim_to_cpu(self, total_bytes: float, num_ranks: int = 1) -> ChannelTransfer:
         """Gather ``total_bytes`` from PIM banks to the host over this channel."""
         if num_ranks < 1:
@@ -63,7 +55,7 @@ class DdrChannel:
         time_s = transfer_time(
             total_bytes, self.host_links.pim_to_cpu_bytes_per_s
         ) + self._overhead(num_ranks)
-        return self._record("pim_to_cpu", total_bytes, num_ranks, time_s)
+        return ChannelTransfer("pim_to_cpu", total_bytes, num_ranks, time_s)
 
     def cpu_to_pim(self, total_bytes: float, num_ranks: int = 1) -> ChannelTransfer:
         """Scatter ``total_bytes`` of distinct data from host to PIM banks."""
@@ -72,7 +64,7 @@ class DdrChannel:
         time_s = transfer_time(
             total_bytes, self.host_links.cpu_to_pim_bytes_per_s
         ) + self._overhead(num_ranks)
-        return self._record("cpu_to_pim", total_bytes, num_ranks, time_s)
+        return ChannelTransfer("cpu_to_pim", total_bytes, num_ranks, time_s)
 
     def cpu_to_pim_broadcast(
         self, payload_bytes: float, num_ranks: int = 1
@@ -87,6 +79,6 @@ class DdrChannel:
         time_s = transfer_time(
             payload_bytes, self.host_links.cpu_to_pim_broadcast_bytes_per_s
         ) + self._overhead(num_ranks)
-        return self._record(
+        return ChannelTransfer(
             "cpu_to_pim_broadcast", payload_bytes, num_ranks, time_s
         )

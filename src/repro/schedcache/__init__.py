@@ -21,7 +21,6 @@ from ..config.units import NOC_CYCLE_S as CYCLE_S
 from .cache import (
     DEFAULT_MAX_PROFILES,
     DEFAULT_MAX_SCHEDULES,
-    STORE_NAMESPACE,
     SchedCacheCounters,
     ScheduleCache,
     active_schedule_cache,
@@ -38,7 +37,6 @@ from .calibrate import (
 from .key import ScheduleKey, StructureKey, network_fingerprint
 from .profile import (
     MAX_EXACT_BYTES,
-    PROFILE_VERSION,
     StepCost,
     TimingProfile,
     extract_profile,
@@ -50,8 +48,6 @@ __all__ = [
     "DEFAULT_MAX_SCHEDULES",
     "MAX_EXACT_BYTES",
     "NocCalibration",
-    "PROFILE_VERSION",
-    "STORE_NAMESPACE",
     "SchedCacheCounters",
     "ScheduleCache",
     "ScheduleKey",

@@ -14,10 +14,8 @@ memoization:
   built at all — falling back to fresh compilation when the payload
   does not divide the structure or exceeds the float-exactness bound.
 
-Profiles optionally persist through the runner's content-addressed
-:class:`~repro.runner.cache.ResultCache` (namespace ``schedcache``),
-whose keys include the code fingerprint, so edits to the timing model
-invalidate stored profiles exactly like runner results.
+Both tiers live in memory only: a run compiles each structure once and
+replays it from then on.
 
 Process-pool safety: the cache records its owning PID and empties
 itself on first touch after a ``fork`` — each worker gets a private
@@ -37,8 +35,6 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from ..collectives.patterns import Collective
-from ..config.conformance import ConformanceConfig
-from ..config.units import NOC_CYCLE_S
 from ..core.schedule import (
     CommSchedule,
     Shape,
@@ -48,25 +44,17 @@ from ..core.schedule import (
 )
 from ..errors import SchedCacheError
 from ..observability import metric_counter, trace_span
-from .calibrate import (
-    NocCalibration,
-    calibrate_schedule,
-    simulate_noc_cycles,
-)
+from .calibrate import NocCalibration, calibrate_schedule
 from .key import ScheduleKey, StructureKey
-from .profile import PROFILE_VERSION, TimingProfile, extract_profile
+from .profile import TimingProfile, extract_profile
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..config.network import PimnetNetworkConfig
-    from ..runner.cache import ResultCache
 
 #: Compiled schedules kept in memory (large objects; LRU-evicted).
 DEFAULT_MAX_SCHEDULES = 64
 #: Timing profiles kept in memory (tiny; LRU-evicted far later).
 DEFAULT_MAX_PROFILES = 1024
-
-#: Disk-store namespace under the runner cache root.
-STORE_NAMESPACE = "schedcache"
 
 
 @dataclass
@@ -78,13 +66,9 @@ class SchedCacheCounters:
     schedule_evictions: int = 0
     profile_hits: int = 0
     profile_misses: int = 0
-    profile_disk_hits: int = 0
-    profile_stores: int = 0
     profile_evictions: int = 0
     timing_replays: int = 0
     timing_fallbacks: int = 0
-    noc_estimates: int = 0
-    noc_fallbacks: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -102,7 +86,6 @@ class ScheduleCache:
         self,
         max_schedules: int = DEFAULT_MAX_SCHEDULES,
         max_profiles: int = DEFAULT_MAX_PROFILES,
-        store: "ResultCache | None" = None,
     ) -> None:
         if max_schedules < 1:
             raise SchedCacheError(
@@ -114,7 +97,6 @@ class ScheduleCache:
             )
         self.max_schedules = max_schedules
         self.max_profiles = max_profiles
-        self.store = store
         self.counters = SchedCacheCounters()
         self._schedules: OrderedDict[ScheduleKey, CommSchedule] = (
             OrderedDict()
@@ -197,8 +179,7 @@ class ScheduleCache:
 
         On a miss the profile is extracted from a schedule built at
         ``base_elements`` (default: one element per DPU, the smallest
-        payload every Table V pattern divides) and stored in memory and,
-        when a disk store is attached, on disk.
+        payload every Table V pattern divides) and kept in memory.
         """
         self.reset_if_forked()
         key = StructureKey.for_structure(
@@ -210,22 +191,17 @@ class ScheduleCache:
                 self._profiles.move_to_end(key)
                 _count(self.counters, "profile_hits")
                 return cached
-        profile = self._load_stored_profile(key, network)
-        if profile is None:
-            _count(self.counters, "profile_misses")
-            if base_elements is None:
-                base_elements = shape.num_dpus
-            with trace_span(
-                "schedcache/profile",
-                category="schedcache",
-                structure=key.label(),
-                base_elements=base_elements,
-            ):
-                schedule = self.build(pattern, shape, base_elements, root)
-                profile = extract_profile(
-                    schedule, itemsize=itemsize, root=root
-                )
-            self._store_profile(key, profile, network)
+        _count(self.counters, "profile_misses")
+        if base_elements is None:
+            base_elements = shape.num_dpus
+        with trace_span(
+            "schedcache/profile",
+            category="schedcache",
+            structure=key.label(),
+            base_elements=base_elements,
+        ):
+            schedule = self.build(pattern, shape, base_elements, root)
+            profile = extract_profile(schedule, itemsize=itemsize, root=root)
         self._remember_profile(key, profile)
         return profile
 
@@ -239,49 +215,6 @@ class ScheduleCache:
                 evicted, _ = self._profiles.popitem(last=False)
                 self._calibrations.pop(evicted, None)
                 _count(self.counters, "profile_evictions")
-
-    def _store_key(
-        self, key: StructureKey, network: "PimnetNetworkConfig"
-    ) -> str:
-        from ..runner.cache import cache_key, key_prefix
-
-        return cache_key(
-            key_prefix(STORE_NAMESPACE, network),
-            {**key.store_params(), "profile_version": PROFILE_VERSION},
-        )
-
-    def _load_stored_profile(
-        self, key: StructureKey, network: "PimnetNetworkConfig"
-    ) -> TimingProfile | None:
-        if self.store is None:
-            return None
-        hit, value = self.store.get(
-            STORE_NAMESPACE, self._store_key(key, network)
-        )
-        if not hit:
-            return None
-        try:
-            profile = TimingProfile.from_dict(value)
-        except SchedCacheError:
-            return None
-        _count(self.counters, "profile_disk_hits")
-        return profile
-
-    def _store_profile(
-        self,
-        key: StructureKey,
-        profile: TimingProfile,
-        network: "PimnetNetworkConfig",
-    ) -> None:
-        if self.store is None:
-            return
-        self.store.put(
-            STORE_NAMESPACE,
-            self._store_key(key, network),
-            profile.to_dict(),
-            params=key.store_params(),
-        )
-        _count(self.counters, "profile_stores")
 
     # -- analytic timing -------------------------------------------------------
     def timing(
@@ -308,10 +241,6 @@ class ScheduleCache:
             profile = self._profiles.get(key)
             if profile is not None:
                 self._profiles.move_to_end(key)
-        if profile is None:
-            profile = self._load_stored_profile(key, network)
-            if profile is not None:
-                self._remember_profile(key, profile)
         if profile is not None and profile.exact_for(num_elements):
             _count(self.counters, "timing_replays")
             with trace_span(
@@ -338,11 +267,10 @@ class ScheduleCache:
             except SchedCacheError:
                 fresh = None  # outside the rescaling model; stay slow
             if fresh is not None:
-                self._store_profile(key, fresh, network)
                 self._remember_profile(key, fresh)
         return times
 
-    # -- calibrated NoC estimates ----------------------------------------------
+    # -- flit-level calibration ------------------------------------------------
     def calibration(
         self,
         pattern: Collective,
@@ -377,48 +305,9 @@ class ScheduleCache:
             self._calibrations[key] = calibration
         return calibration
 
-    def noc_cycles(
-        self,
-        pattern: Collective,
-        shape: Shape,
-        num_elements: int,
-        network: "PimnetNetworkConfig",
-        config: ConformanceConfig | None = None,
-        root: int = 0,
-    ) -> tuple[float, bool]:
-        """``(cycles, estimated)`` for the flit-level simulation.
-
-        Serves ``calibration.ratio * analytic_cycles`` while the
-        estimate stays inside the conformance band around the rescaled
-        analytic time; outside the band (or when the analytic profile
-        cannot rescale) it runs a fresh flit-level simulation —
-        ``estimated`` distinguishes the two.
-        """
-        config = config or ConformanceConfig()
-        itemsize = config.itemsize
-        analytic_s = sum(
-            self.timing(
-                pattern, shape, num_elements, network,
-                root=root, itemsize=itemsize,
-            ).values()
-        )
-        analytic_cycles = analytic_s / NOC_CYCLE_S
-        calibration = self.calibration(
-            pattern, shape, network, root=root, itemsize=itemsize
-        )
-        if calibration.in_band(analytic_cycles, config):
-            _count(self.counters, "noc_estimates")
-            return calibration.estimate_cycles(analytic_cycles), True
-        _count(self.counters, "noc_fallbacks")
-        schedule = self.build(pattern, shape, num_elements, root)
-        return (
-            float(simulate_noc_cycles(schedule, network, itemsize=itemsize)),
-            False,
-        )
-
     # -- introspection ---------------------------------------------------------
     def clear(self) -> None:
-        """Drop all in-memory entries and reset counters (disk untouched)."""
+        """Drop all entries and reset counters."""
         with self._lock:
             self._schedules.clear()
             self._profiles.clear()

@@ -4,15 +4,9 @@ The analytic profile rescales *exactly*; the cycle-level NoC simulator
 does not — arbitration, per-hop pipelining, and flit quantization make
 its cycle count a noisy affine-ish function of payload.  One calibration
 run at the profile's base payload captures the empirical
-``noc / analytic`` ratio; :meth:`NocCalibration.estimate_cycles` then
-predicts the simulator's cycle count for other payloads as
-``ratio * analytic_cycles``.
-
-The estimate is only *served* while it stays inside the conformance
-band (:meth:`ConformanceConfig.latency_band`).
-Outside the band the cache refuses to extrapolate and falls back to a
-fresh flit-level simulation — the band is the contract that rescaling
-is still trustworthy.
+``noc / analytic`` ratio (:attr:`NocCalibration.ratio`).  Nothing serves
+a rescaled estimate in place of a simulation: conformance runs the
+simulator itself, so it checks the simulator and not an estimate.
 """
 
 from __future__ import annotations
@@ -20,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..config.conformance import ConformanceConfig
 from ..config.units import NOC_CYCLE_S
 from ..core.schedule import CommSchedule, schedule_timing
-from ..errors import SchedCacheError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..config.network import PimnetNetworkConfig
@@ -44,37 +36,6 @@ class NocCalibration:
         if self.base_analytic_cycles <= 0.0:
             return 1.0
         return self.base_noc_cycles / self.base_analytic_cycles
-
-    def estimate_cycles(self, analytic_cycles: float) -> float:
-        """Predicted flit-sim cycles at another payload's analytic time."""
-        return self.ratio * analytic_cycles
-
-    def in_band(
-        self, analytic_cycles: float, config: ConformanceConfig
-    ) -> bool:
-        """Whether the rescaled estimate is inside the conformance band."""
-        lower, upper = config.latency_band(analytic_cycles)
-        return lower <= self.estimate_cycles(analytic_cycles) <= upper
-
-    def to_dict(self) -> dict:
-        return {
-            "base_elements": self.base_elements,
-            "base_analytic_cycles": self.base_analytic_cycles,
-            "base_noc_cycles": self.base_noc_cycles,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NocCalibration":
-        try:
-            return cls(
-                base_elements=int(data["base_elements"]),
-                base_analytic_cycles=float(data["base_analytic_cycles"]),
-                base_noc_cycles=int(data["base_noc_cycles"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchedCacheError(
-                f"malformed NoC calibration entry: {exc}"
-            ) from exc
 
 
 def simulate_noc_cycles(

@@ -114,15 +114,3 @@ class StructureKey:
             f"{self.collective}@{self.banks}x{self.chips}x{self.ranks}"
             f"/root{self.root}/i{self.itemsize}/net{self.network[:8]}"
         )
-
-    def store_params(self) -> dict:
-        """The structure fields as disk-store params (network excluded —
-        the on-disk key hashes the full network config separately)."""
-        return {
-            "collective": self.collective,
-            "banks": self.banks,
-            "chips": self.chips,
-            "ranks": self.ranks,
-            "root": self.root,
-            "itemsize": self.itemsize,
-        }

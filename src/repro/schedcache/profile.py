@@ -36,9 +36,6 @@ from ..observability import metric_counter
 if TYPE_CHECKING:  # pragma: no cover - types only
     from ..config.network import PimnetNetworkConfig
 
-#: Entry-format version; bump to invalidate persisted profiles.
-PROFILE_VERSION = 1
-
 #: Loads at or above 2**53 bytes lose float exactness; fall back.
 MAX_EXACT_BYTES = 2**53
 
@@ -69,34 +66,6 @@ class StepCost:
     bus_units: int = 0
     port_units: int = 0
     unicast: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "divisor": self.divisor,
-            "num_transfers": self.num_transfers,
-            "peak_units": self.peak_units,
-            "hops": self.hops,
-            "bus_units": self.bus_units,
-            "port_units": self.port_units,
-            "unicast": self.unicast,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepCost":
-        try:
-            return cls(
-                tier=str(data["tier"]),
-                divisor=int(data["divisor"]),
-                num_transfers=int(data["num_transfers"]),
-                peak_units=int(data["peak_units"]),
-                hops=int(data["hops"]),
-                bus_units=int(data["bus_units"]),
-                port_units=int(data["port_units"]),
-                unicast=bool(data["unicast"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchedCacheError(f"malformed step cost entry: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -194,44 +163,6 @@ class TimingProfile:
             s.port_units * unit
         ) / network.inter_chip.link_bandwidth_bytes_per_s
         return max(bus_time, port_time) + 2 * bus.hop_latency_s
-
-    def to_dict(self) -> dict:
-        return {
-            "profile_version": PROFILE_VERSION,
-            "collective": self.collective,
-            "banks": self.banks,
-            "chips": self.chips,
-            "ranks": self.ranks,
-            "root": self.root,
-            "itemsize": self.itemsize,
-            "base_elements": self.base_elements,
-            "steps": [s.to_dict() for s in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimingProfile":
-        try:
-            if data["profile_version"] != PROFILE_VERSION:
-                raise SchedCacheError(
-                    f"profile version {data['profile_version']!r} != "
-                    f"{PROFILE_VERSION}"
-                )
-            return cls(
-                collective=str(data["collective"]),
-                banks=int(data["banks"]),
-                chips=int(data["chips"]),
-                ranks=int(data["ranks"]),
-                root=int(data["root"]),
-                itemsize=int(data["itemsize"]),
-                base_elements=int(data["base_elements"]),
-                steps=tuple(
-                    StepCost.from_dict(s) for s in data["steps"]
-                ),
-            )
-        except SchedCacheError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchedCacheError(f"malformed timing profile: {exc}") from exc
 
 
 def extract_profile(

@@ -86,12 +86,6 @@ class ServiceResponse:
         return self.outcome is Outcome.ADMITTED
 
     @property
-    def wait_s(self) -> float | None:
-        if self.start_s is None:
-            return None
-        return self.start_s - self.arrival_s
-
-    @property
     def latency_s(self) -> float | None:
         if self.finish_s is None:
             return None

@@ -387,8 +387,8 @@ class TestBadArguments:
             ["fleet", "bench", "--requests", "0"],
             ["fleet", "bench", "--concurrency", "0"],
             ["fleet", "serve", "--timeout", "0"],
-            ["schedcache", "compile", "--shape", "0x2x2"],
             ["bench", "run"],
+            ["schedcache", "stats"],
             ["faults", "run", "bogus"],
             ["faults", "run", "stragglers", "--payload", "12XB"],
             ["faults", "run", "stragglers", "--trials", "0"],

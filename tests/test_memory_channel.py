@@ -47,15 +47,3 @@ class TestOverheads:
         with pytest.raises(MemoryModelError):
             channel.pim_to_cpu(100, num_ranks=0)
 
-
-class TestBookkeeping:
-    def test_transfers_recorded(self, channel):
-        channel.pim_to_cpu(100)
-        channel.cpu_to_pim(100)
-        channel.cpu_to_pim_broadcast(100)
-        directions = [t.direction for t in channel.transfers]
-        assert directions == [
-            "pim_to_cpu",
-            "cpu_to_pim",
-            "cpu_to_pim_broadcast",
-        ]

@@ -111,17 +111,28 @@ class TestEquivalenceDirected:
 
 
 @st.composite
-def random_workload(draw):
-    banks = draw(st.integers(1, 4))
-    chips = draw(st.integers(1, 2))
-    ranks = draw(st.integers(1, 2))
-    shape = Shape(banks, chips, ranks)
+def random_workload(
+    draw,
+    banks=(1, 4),
+    chips=(1, 2),
+    ranks=(1, 2),
+    messages=(1, 10),
+    flits=(1, 5),
+    ready=(0, 60),
+):
+    """A random workload; each keyword is an inclusive ``(low, high)``
+    bound on what it names (``flits`` per message, ``ready`` cycle)."""
+    shape = Shape(
+        draw(st.integers(*banks)),
+        draw(st.integers(*chips)),
+        draw(st.integers(*ranks)),
+    )
     n = shape.num_dpus
     if n < 2:
-        banks, n = 2, 2
         shape = Shape(2, 1, 1)
-    count = draw(st.integers(1, 10))
-    messages = []
+        n = 2
+    count = draw(st.integers(*messages))
+    workload = []
     for msg_id in range(count):
         src = draw(st.integers(0, n - 1))
         dst = draw(st.integers(0, n - 2))
@@ -130,13 +141,13 @@ def random_workload(draw):
         deps = ()
         if msg_id and draw(st.booleans()):
             deps = (draw(st.integers(0, msg_id - 1)),)
-        messages.append(
+        workload.append(
             Message(
                 msg_id=msg_id,
                 src=src,
                 dst=dst,
-                num_flits=draw(st.integers(1, 5)),
-                ready_cycle=draw(st.integers(0, 60)),
+                num_flits=draw(st.integers(*flits)),
+                ready_cycle=draw(st.integers(*ready)),
                 deps=deps,
             )
         )
@@ -145,8 +156,8 @@ def random_workload(draw):
     if use_barriers:
         # Nondecreasing in msg_id, so deps (always to earlier ids)
         # never point into a later barrier generation.
-        barriers = {m.msg_id: m.msg_id // 3 for m in messages}
-    return shape, messages, barriers
+        barriers = {m.msg_id: m.msg_id // 3 for m in workload}
+    return shape, workload, barriers
 
 
 @pytest.mark.slow
@@ -154,6 +165,23 @@ class TestEquivalenceRandomized:
     @settings(max_examples=50, deadline=None)
     @given(random_workload())
     def test_event_loop_matches_reference(self, workload):
+        shape, messages, barriers = workload
+        net = NocNetwork(shape)
+        assert_equivalent(net, messages, barriers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        random_workload(
+            banks=(4, 4), chips=(1, 1), ranks=(1, 1),
+            messages=(8, 12), flits=(4, 10), ready=(0, 20),
+        )
+    )
+    def test_deep_queues_match_reference(self, workload):
+        """Many long messages released close together on one 4-bank
+        ring, the smallest ring with transit stops, so a FIFO often
+        queues flits that end at its stop behind a transit flit that
+        waits for a contended output. Lower bounds keep every example
+        busy (Hypothesis favours the low end of a range)."""
         shape, messages, barriers = workload
         net = NocNetwork(shape)
         assert_equivalent(net, messages, barriers)

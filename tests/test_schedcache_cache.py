@@ -1,33 +1,25 @@
-"""ScheduleCache mechanics: LRU, disk store, metrics, fork guard, NoC.
+"""ScheduleCache mechanics: LRU, metrics, fork guard, NoC calibration.
 
 Complements ``test_schedcache_keys.py`` (what addresses an entry) and
 ``test_schedcache_profile.py`` (what a replay returns) with the cache
-container itself: eviction order, the optional content-addressed disk
-tier, counter mirroring into ``schedcache.*`` metrics, the post-fork
-reset, and the calibrated NoC estimate with its conformance-band
-fallback.
+container itself: eviction order, counter mirroring into
+``schedcache.*`` metrics, the post-fork reset, and the memoized
+flit-level calibration.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.collectives.patterns import Collective
-from repro.config.conformance import ConformanceConfig
 from repro.config.network import PimnetNetworkConfig
 from repro.core.schedule import Shape
 from repro.errors import SchedCacheError
 from repro.observability.metrics import MetricsRegistry, use_metrics
-from repro.runner import ResultCache
 from repro.schedcache import (
-    NocCalibration,
     ScheduleCache,
-    StructureKey,
     active_schedule_cache,
     cached_build_schedule,
-    simulate_noc_cycles,
     use_schedule_cache,
 )
 
@@ -72,45 +64,6 @@ class TestScheduleLRU:
     def test_invalid_capacity_rejected(self, kwargs):
         with pytest.raises(SchedCacheError):
             ScheduleCache(**kwargs)
-
-
-class TestDiskStore:
-    def _store(self, tmp_path):
-        return ResultCache(tmp_path / "cache")
-
-    def test_profile_round_trips_through_disk(self, tmp_path):
-        writer = ScheduleCache(store=self._store(tmp_path))
-        writer.profile(AR, SHAPE, NETWORK)
-        assert writer.counters.profile_stores == 1
-
-        reader = ScheduleCache(store=self._store(tmp_path))
-        times = reader.timing(AR, SHAPE, 4096, NETWORK)
-        assert reader.counters.profile_disk_hits == 1
-        assert reader.counters.timing_replays == 1
-        # The disk hit made compilation unnecessary altogether.
-        assert reader.counters.schedule_misses == 0
-        assert times == writer.timing(AR, SHAPE, 4096, NETWORK)
-
-    def test_corrupt_stored_profile_is_a_miss_not_an_error(self, tmp_path):
-        writer = ScheduleCache(store=self._store(tmp_path))
-        writer.profile(AR, SHAPE, NETWORK)
-        (entry_path,) = (tmp_path / "cache" / "schedcache").glob("*.json")
-        entry = json.loads(entry_path.read_text())
-        entry["value"] = {"profile_version": 999}
-        entry_path.write_text(json.dumps(entry))
-
-        reader = ScheduleCache(store=self._store(tmp_path))
-        reader.profile(AR, SHAPE, NETWORK)
-        assert reader.counters.profile_disk_hits == 0
-        assert reader.counters.profile_misses == 1
-        assert reader.counters.profile_stores == 1  # re-stored, repaired
-
-    def test_memory_tier_shields_the_disk(self, tmp_path):
-        cache = ScheduleCache(store=self._store(tmp_path))
-        cache.profile(AR, SHAPE, NETWORK)
-        cache.profile(AR, SHAPE, NETWORK)
-        assert cache.counters.profile_hits == 1
-        assert cache.counters.profile_disk_hits == 0
 
 
 class TestCountersAndMetrics:
@@ -168,37 +121,6 @@ class TestActiveCache:
 
 
 class TestNocEstimates:
-    def _seed_calibration(self, cache, ratio):
-        key = StructureKey.for_structure(
-            AR, SHAPE, NETWORK, root=0, itemsize=ConformanceConfig().itemsize
-        )
-        cache._calibrations[key] = NocCalibration(
-            base_elements=SHAPE.num_dpus,
-            base_analytic_cycles=100.0,
-            base_noc_cycles=100.0 * ratio,
-        )
-
-    def test_in_band_calibration_serves_an_estimate(self):
-        cache = ScheduleCache()
-        self._seed_calibration(cache, ratio=1.0)
-        cycles, estimated = cache.noc_cycles(AR, SHAPE, 64, NETWORK)
-        assert estimated
-        assert cycles > 0
-        assert cache.counters.noc_estimates == 1
-
-    def test_out_of_band_calibration_falls_back_to_simulation(self):
-        cache = ScheduleCache()
-        self._seed_calibration(cache, ratio=1e6)
-        cycles, estimated = cache.noc_cycles(AR, SHAPE, 64, NETWORK)
-        assert not estimated
-        assert cache.counters.noc_fallbacks == 1
-        schedule = cache.build(AR, SHAPE, 64)
-        assert cycles == float(
-            simulate_noc_cycles(
-                schedule, NETWORK, itemsize=ConformanceConfig().itemsize
-            )
-        )
-
     def test_calibration_is_memoized(self):
         cache = ScheduleCache()
         first = cache.calibration(AR, SHAPE, NETWORK)

@@ -20,11 +20,9 @@ from repro.collectives.patterns import Collective
 from repro.config.conformance import ConformanceConfig
 from repro.config.network import PimnetNetworkConfig
 from repro.core.schedule import Shape, build_schedule, schedule_timing
-from repro.errors import SchedCacheError
 from repro.schedcache import (
     MAX_EXACT_BYTES,
     ScheduleCache,
-    TimingProfile,
     extract_profile,
 )
 
@@ -112,41 +110,6 @@ class TestExactReplay:
             pattern, shape, num_elements, NETWORK
         ) == _fresh_times(pattern, shape, num_elements)
         assert cache.counters.timing_replays == 1
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("pattern", COLLECTIVES)
-    def test_json_round_trip_preserves_replay_bits(self, pattern):
-        shape = SHAPES[-1]
-        profile = _profile_for(pattern, shape)
-        revived = TimingProfile.from_dict(profile.to_dict())
-        assert revived == profile
-        for k in (1, 7, 1000):
-            num_elements = shape.num_dpus * k
-            assert revived.times(num_elements, NETWORK) == profile.times(
-                num_elements, NETWORK
-            )
-
-    def test_version_mismatch_is_rejected(self):
-        payload = _profile_for(Collective.ALL_REDUCE, SHAPES[0]).to_dict()
-        payload["profile_version"] = 999
-        with pytest.raises(SchedCacheError):
-            TimingProfile.from_dict(payload)
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda d: d.pop("steps"),
-            lambda d: d["steps"].append({"bogus": True}),
-            lambda d: d.update(base_elements="four"),
-        ],
-        ids=["no-steps", "bogus-step", "non-int-base"],
-    )
-    def test_damaged_payload_is_rejected(self, damage):
-        payload = _profile_for(Collective.ALL_REDUCE, SHAPES[0]).to_dict()
-        damage(payload)
-        with pytest.raises(SchedCacheError):
-            TimingProfile.from_dict(payload)
 
 
 class TestFallbackBoundaries:
