@@ -3,13 +3,7 @@
 from .breakdown import (
     COMM_COMPONENTS,
     comm_percentages,
-    format_app_row,
     format_breakdown_row,
-)
-from .energy import (
-    EnergyEstimate,
-    collective_energy,
-    energy_comparison,
 )
 from .hw_overhead import (
     AreaPowerEstimate,
@@ -31,11 +25,7 @@ from .roofline import RooflineModel, RooflinePoint, RooflineSeries
 
 __all__ = [
     "COMM_COMPONENTS",
-    "EnergyEstimate",
-    "collective_energy",
-    "energy_comparison",
     "comm_percentages",
-    "format_app_row",
     "format_breakdown_row",
     "AreaPowerEstimate",
     "HwOverheadReport",

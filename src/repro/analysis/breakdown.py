@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..collectives.result import CommBreakdown
-from ..workloads.base import AppResult
 
 #: Fig 11 component order and display labels.
 COMM_COMPONENTS = (
@@ -35,14 +34,3 @@ def format_breakdown_row(name: str, breakdown: CommBreakdown) -> str:
         f"{label}:{parts[label]:5.1f}%" for _, label in COMM_COMPONENTS
     )
     return f"{name:12s} total={breakdown.total_s * 1e6:10.1f}us  {cells}"
-
-
-def format_app_row(result: AppResult) -> str:
-    """One printable Fig 10 row (compute vs communication split)."""
-    return (
-        f"{result.workload:10s} [{result.backend:5s}] "
-        f"total={result.total_s * 1e3:10.3f}ms "
-        f"compute={result.compute_s * 1e3:10.3f}ms "
-        f"comm={result.comm_s * 1e3:10.3f}ms "
-        f"({100 * result.comm_fraction:5.1f}% comm)"
-    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -243,11 +243,6 @@ class BackendRegistry:
 
     def keys(self) -> list[str]:
         return sorted(self._factories)
-
-    def create_many(
-        self, keys: Iterable[str], machine: MachineConfig
-    ) -> dict[str, CollectiveBackend]:
-        return {key: self.create(key, machine) for key in keys}
 
 
 #: Global registry; populated by backend modules at import time.

@@ -106,11 +106,6 @@ class FaultModelConfig(JsonForm):
         check_number(self.max_retries, "max_retries", FaultConfigError,
                      integer=True, at_least=0)
 
-    @property
-    def fault_free(self) -> bool:
-        """Whether this model can never inject anything."""
-        return all(getattr(self, name) == 0.0 for name in _RATE_FIELDS)
-
     def scaled(self, rate_factor: float) -> "FaultModelConfig":
         """All rates multiplied by ``rate_factor`` (clamped to 1.0).
 

@@ -84,15 +84,6 @@ class PimSystemConfig:
     def banks_per_channel(self) -> int:
         return self.banks_per_rank * self.ranks_per_channel
 
-    @property
-    def total_dpus(self) -> int:
-        return self.banks_per_channel * self.num_channels
-
-    @property
-    def pim_memory_bytes(self) -> int:
-        """Total PIM-attached DRAM capacity across all channels."""
-        return self.total_dpus * self.dpu.mram_bytes
-
     def scaled_to_dpus(self, num_dpus: int) -> "PimSystemConfig":
         """Return a copy resized to ``num_dpus`` on a single channel.
 

@@ -160,23 +160,6 @@ def _from_json(cls: type, data: Any, noun: str, error: type[Exception]):
         raise error(f"invalid {noun}: {exc}") from exc
 
 
-def bytes_per_second(gigabytes_per_second: float) -> float:
-    """Convert a GB/s figure (decimal gigabytes) to bytes/second."""
-    return gigabytes_per_second * GB
-
-
-def seconds_to_cycles(seconds: float, frequency_hz: float) -> float:
-    """Number of clock cycles elapsed in ``seconds`` at ``frequency_hz``."""
-    return seconds * frequency_hz
-
-
-def cycles_to_seconds(cycles: float, frequency_hz: float) -> float:
-    """Wall-clock duration of ``cycles`` ticks at ``frequency_hz``."""
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    return cycles / frequency_hz
-
-
 def transfer_time(num_bytes: float, bandwidth_bytes_per_s: float) -> float:
     """Serialization time of ``num_bytes`` over a link.
 
@@ -241,16 +224,6 @@ def parse_bytes(text: str) -> int:
             f"size {text!r} must be a positive whole number of bytes"
         )
     return int(num_bytes)
-
-
-def fmt_bytes(num_bytes: float) -> str:
-    """Human-readable byte count (binary units), for reports and logs."""
-    value = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(value) < 1024 or unit == "TiB":
-            return f"{value:.4g} {unit}"
-        value /= 1024
-    raise AssertionError("unreachable")
 
 
 def fmt_seconds(seconds: float) -> str:

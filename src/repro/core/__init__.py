@@ -19,7 +19,6 @@ from .addressing import (
     AllReduceAddressGenerator,
     AllReducePlan,
     PhasePlan,
-    alltoall_send_addresses,
 )
 from .api import (
     pimnet_all_gather,
@@ -66,7 +65,6 @@ from .timeline import (
 from .timing import PimnetTimingModel, TierTimes
 from .validate import (
     validate_bounds,
-    validate_chain,
     validate_no_write_races,
     validate_contention_free,
     validate_schedule,
@@ -77,7 +75,6 @@ __all__ = [
     "AllReduceAddressGenerator",
     "AllReducePlan",
     "PhasePlan",
-    "alltoall_send_addresses",
     "pimnet_all_gather",
     "pimnet_all_reduce",
     "pimnet_all_to_all",
@@ -121,7 +118,6 @@ __all__ = [
     "PimnetTimingModel",
     "TierTimes",
     "validate_bounds",
-    "validate_chain",
     "validate_no_write_races",
     "validate_contention_free",
     "validate_schedule",

@@ -170,35 +170,3 @@ class AllReduceAddressGenerator:
             )
 
         return AllReducePlan(dpu=dpu, phases=tuple(phases))
-
-    def all_plans(self) -> list[AllReducePlan]:
-        return [self.plan(d) for d in range(self.shape.num_dpus)]
-
-    @property
-    def total_time_s(self) -> float:
-        """End-to-end transport time implied by the phase offsets."""
-        return (
-            self.t_rs_bank + self.t_rs_chip + self.t_rs_rank
-            + self.t_ag_rank + self.t_ag_chip + self.t_ag_bank
-        )
-
-
-def alltoall_send_addresses(
-    shape: Shape, num_elements: int, dpu: int, base_address: int = 0
-) -> list[tuple[int, int]]:
-    """Fig 9(b): per-destination send addresses for All-to-All.
-
-    Returns ``(destination dpu, element address)`` pairs: the chunk for
-    destination j sits at ``base + j * chunk`` in the source's buffer.
-    """
-    n = shape.num_dpus
-    if num_elements % n != 0:
-        raise ScheduleError(
-            f"{num_elements} elements not divisible by {n} DPUs"
-        )
-    if not 0 <= dpu < n:
-        raise ScheduleError(f"DPU {dpu} out of range")
-    chunk = num_elements // n
-    return [
-        (j, base_address + j * chunk) for j in range(n) if j != dpu
-    ]

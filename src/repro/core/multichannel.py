@@ -101,19 +101,3 @@ def multichannel_collective(
             cross_bytes * (channels - 1) / channels, bus
         )
     return MultiChannelResultParts(per_channel, cross_s)
-
-
-def channel_scaling_series(
-    machine: MachineConfig,
-    request: CollectiveRequest,
-    channel_counts: tuple[int, ...] = (1, 2, 4, 8),
-    backend_key: str = "P",
-    bridge: str = "host",
-) -> list[tuple[int, float]]:
-    """(channels, total time) series for Fig 16-style sweeps."""
-    out = []
-    for k in channel_counts:
-        m = replace(machine, system=replace(machine.system, num_channels=k))
-        parts = multichannel_collective(m, request, backend_key, bridge)
-        out.append((k, parts.total_s))
-    return out

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config.network import TierLinkConfig
 from ..errors import ConfigurationError
 
 
@@ -38,31 +37,10 @@ class PimnetStopSpec:
             raise ConfigurationError("traversal takes at least one stage")
 
     @property
-    def datapath_bits(self) -> int:
-        """Total datapath register bits in the stop."""
-        return (
-            self.channel_width_bits
-            * self.num_channels
-            * self.traversal_stages
-        )
-
-    @property
     def mux_input_bits(self) -> int:
         """Total mux input bits (2:1 muxes on each output channel)."""
         outputs = self.num_channels // 2
         return 2 * self.channel_width_bits * self.muxes_per_output * outputs
-
-    def traversal_cycles(self) -> int:
-        """Deterministic per-hop latency in bus-clock cycles."""
-        return self.traversal_stages
-
-    @classmethod
-    def from_tier(cls, tier: TierLinkConfig) -> "PimnetStopSpec":
-        """Build a stop spec matching a tier's channel geometry."""
-        return cls(
-            channel_width_bits=tier.width_bits,
-            num_channels=tier.num_channels,
-        )
 
 
 @dataclass(frozen=True)

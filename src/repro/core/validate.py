@@ -10,7 +10,7 @@ corruption is caught.
 from __future__ import annotations
 
 from ..errors import ScheduleError
-from .schedule import CommSchedule, Phase, ScheduleChain, Tier
+from .schedule import CommSchedule, Phase, Tier
 
 
 def validate_bounds(schedule: CommSchedule) -> None:
@@ -165,20 +165,3 @@ def validate_schedule(schedule: CommSchedule) -> None:
     validate_tier_locality(schedule)
     validate_contention_free(schedule)
     validate_no_write_races(schedule)
-
-
-def validate_chain(chain: ScheduleChain) -> None:
-    """Validate every link of a chained schedule.
-
-    Links are barrier-separated (see
-    :class:`~repro.core.schedule.ScheduleChain`), so per-link validation
-    is complete: cross-link contention is impossible by construction.
-    """
-    for index, schedule in enumerate(chain.schedules):
-        try:
-            validate_schedule(schedule)
-        except ScheduleError as exc:
-            raise ScheduleError(
-                f"chain {chain.name!r} link {index} "
-                f"({schedule.pattern.value}): {exc}"
-            ) from exc

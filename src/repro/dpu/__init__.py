@@ -1,24 +1,10 @@
-"""DPU substrate: mini ISA, functional interpreter, pipeline/compute models."""
+"""DPU substrate: the pipeline and phase-level compute models."""
 
 from .compute import ComputeModel, OpCounts
-from .interpreter import Dpu, RunResult, TaskletState
-from .isa import EXTRA_SLOTS, Instruction, NUM_REGISTERS, Opcode, Program
-from .kernels import reduce_sum_kernel, vector_add_kernel, vector_scale_kernel
 from .pipeline import PipelineModel
 
 __all__ = [
     "ComputeModel",
     "OpCounts",
-    "Dpu",
-    "RunResult",
-    "TaskletState",
-    "EXTRA_SLOTS",
-    "Instruction",
-    "NUM_REGISTERS",
-    "Opcode",
-    "Program",
-    "reduce_sum_kernel",
-    "vector_add_kernel",
-    "vector_scale_kernel",
     "PipelineModel",
 ]

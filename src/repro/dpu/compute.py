@@ -55,14 +55,6 @@ class OpCounts:
             mram_write_bytes=self.mram_write_bytes * factor,
         )
 
-    @property
-    def arithmetic_ops(self) -> float:
-        """Total arithmetic operations (for roofline intensity)."""
-        arithmetic = {
-            Op.INT_ADD, Op.INT_MUL, Op.INT_MOD, Op.FLOAT_ADD, Op.FLOAT_MUL,
-        }
-        return sum(c for op, c in self.counts.items() if op in arithmetic)
-
 
 @dataclass(frozen=True)
 class ComputeModel:

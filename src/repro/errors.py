@@ -61,10 +61,6 @@ class MemoryModelError(ReproError):
     """A memory access or DMA transfer violated the memory model."""
 
 
-class IsaError(ReproError):
-    """The DPU ISA interpreter hit an illegal instruction or operand."""
-
-
 class ObservabilityError(ReproError):
     """The tracing or metrics layer was used inconsistently."""
 

@@ -57,10 +57,6 @@ class FaultSweepResult:
             for earlier, later in zip(self.bandwidths, self.bandwidths[1:])
         )
 
-    def fault_free_point_clean(self) -> bool:
-        """At factor 0 every trial completes with zero fault cost."""
-        return self.completion_rates[0] == 1.0 and self.mean_retries[0] == 0
-
 
 def _point(
     machine: MachineConfig,

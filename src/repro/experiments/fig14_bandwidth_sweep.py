@@ -32,9 +32,6 @@ class BandwidthSweepResult:
     #: (global scale, PIMnet AllReduce time, speedup vs DIMM-Link)
     global_bw: tuple[tuple[float, float, float], ...]
 
-    def min_interbank_speedup(self) -> float:
-        return min(row[2] for row in self.inter_bank)
-
 
 def _point(
     machine: MachineConfig,

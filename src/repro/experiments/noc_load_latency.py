@@ -49,10 +49,6 @@ class LoadLatencyResult:
     mean_latency_cycles: tuple[float, ...]
     completion_cycles: tuple[int, ...]
 
-    def saturation_visible(self) -> bool:
-        """Latency at the top rate well above the low-load latency."""
-        return self.mean_latency_cycles[-1] > 2 * self.mean_latency_cycles[0]
-
 
 def _traffic_pattern(
     shape: Shape, messages_per_dpu: int, seed: int

@@ -37,19 +37,6 @@ class StragglerTailResult:
     p999s: tuple[float, ...]
     degraded_fractions: tuple[float, ...]
 
-    def growing_tail(self) -> bool:
-        """p99 latency never shrinks as straggler severity grows."""
-        return all(
-            later >= earlier - 1e-12
-            for earlier, later in zip(self.p99s, self.p99s[1:])
-        )
-
-    def tail_amplification(self) -> float:
-        """p99/p50 at the worst severity — how unfair the tail gets."""
-        if self.p50s[-1] == 0:
-            return 0.0
-        return self.p99s[-1] / self.p50s[-1]
-
 
 def _point(
     machine: MachineConfig,

@@ -98,12 +98,6 @@ class HealthTracker:
     def states(self) -> tuple[ShardHealth, ...]:
         return tuple(self._states)
 
-    def serving_shards(self) -> tuple[int, ...]:
-        """Indices of shards the router may route to (not down)."""
-        return tuple(
-            i for i, s in enumerate(self._states) if s.serving
-        )
-
     def mark(
         self,
         shard: int,

@@ -1,4 +1,4 @@
-"""One PIM bank's memory complement: MRAM, WRAM, IRAM, and its DMA engine.
+"""One PIM bank's MRAM-to-WRAM DMA engine, as a staging-time model.
 
 Mirrors the UPMEM organization (Section II-A): a 64 MB DRAM bank (MRAM)
 holds the data the host sees; only data staged into the 64 KB scratchpad
@@ -13,11 +13,10 @@ import numpy as np
 from ..config.system import DpuConfig
 from ..config.units import transfer_time
 from ..errors import MemoryModelError
-from .sparse import SparseMemory
 
 
 class BankMemory:
-    """Functional + timing model of one PIM bank's memories."""
+    """Timing model of one PIM bank's DMA staging."""
 
     #: Maximum DMA burst supported by the UPMEM DMA engine.
     DMA_MAX_BYTES = 2048
@@ -28,7 +27,6 @@ class BankMemory:
         if dma_bandwidth_bytes_per_s <= 0:
             raise MemoryModelError("DMA bandwidth must be positive")
         self.config = config
-        self.wram = SparseMemory(config.wram_bytes, page_bytes=1024)
         self.dma_bandwidth_bytes_per_s = dma_bandwidth_bytes_per_s
         #: Fixed DMA setup latency per transfer (engine programming).
         self.dma_setup_s = 100e-9

@@ -178,11 +178,6 @@ class NocNetwork:
         hops.append(self.links[f"io:{r2}:{c2}:{b2}:down"])
         return tuple(hops)
 
-    # -- accessors ---------------------------------------------------------------
-    def stop_name(self, dpu: int) -> str:
-        r, c, b = self.shape.coords(dpu)
-        return f"stop:{r}:{c}:{b}"
-
     def reset(self) -> None:
         for link in self.links.values():
             link.reset()

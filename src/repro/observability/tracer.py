@@ -82,10 +82,6 @@ class Span:
         self._tracer = tracer
 
     # -- recording ---------------------------------------------------------------
-    def set_attribute(self, key: str, value: Any) -> "Span":
-        self.attributes[key] = value
-        return self
-
     def set_attributes(self, **attributes: Any) -> "Span":
         self.attributes.update(attributes)
         return self
@@ -125,16 +121,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> "Span | None":
-        """First descendant (or self) named ``name``, depth first."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
-    def find_all(self, name: str) -> list["Span"]:
-        return [s for s in self.walk() if s.name == name]
-
     # -- context manager ---------------------------------------------------------
     def __enter__(self) -> "Span":
         if self._tracer is None:
@@ -167,9 +153,6 @@ class NullSpan:
     """
 
     __slots__ = ()
-
-    def set_attribute(self, key: str, value: Any) -> "NullSpan":
-        return self
 
     def set_attributes(self, **attributes: Any) -> "NullSpan":
         return self
@@ -259,15 +242,6 @@ class Tracer:
     def walk(self) -> Iterator[Span]:
         for root in self.roots:
             yield from root.walk()
-
-    def find(self, name: str) -> Span | None:
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
-    def find_all(self, name: str) -> list[Span]:
-        return [s for s in self.walk() if s.name == name]
 
     def clear(self) -> None:
         if self._stack:

@@ -31,12 +31,6 @@ class RunnerRegistry:
         self._specs[spec.experiment_id] = spec
         return spec
 
-    def unregister(self, experiment_id: str) -> None:
-        if self._specs.pop(experiment_id, None) is None:
-            raise RunnerError(
-                f"experiment {experiment_id!r} is not registered"
-            )
-
     def get(self, experiment_id: str) -> ExperimentSpec:
         if experiment_id not in self._specs:
             ensure_experiments_loaded()

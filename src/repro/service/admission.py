@@ -104,10 +104,6 @@ class AdmissionQueue:
     def depth(self) -> int:
         return len(self._entries)
 
-    def tenant_depth(self, tenant: str) -> int:
-        account = self._accounts.get(tenant)
-        return account.queued if account else 0
-
     def try_enqueue(self, entry: QueueEntry) -> str | None:
         """Queue ``entry``; the rejection reason if it cannot be held."""
         if len(self._entries) >= self._config.queue_limit:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterator, Mapping
+from typing import Any, Hashable, Mapping
 
 from ..collectives.patterns import Collective, CollectiveRequest
 from ..config.presets import MachineConfig, pimnet_sim_system
@@ -476,5 +476,3 @@ class CollectiveService:
             },
         }
 
-    def iter_occurrences(self) -> Iterator[OccurrenceRecord]:
-        return iter(self.occurrences)

@@ -66,5 +66,3 @@ class SlotCycle:
     def accepts(self, pattern: Collective) -> bool:
         return any(slot.accepts(pattern) for slot in self.slots)
 
-    def slots_for(self, pattern: Collective) -> tuple[TimeSlot, ...]:
-        return tuple(s for s in self.slots if s.accepts(pattern))

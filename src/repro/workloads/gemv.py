@@ -98,13 +98,3 @@ def distributed_gemv(
     result = backend.run(request, partials)
     assert result.outputs is not None
     return np.concatenate(result.outputs)
-
-
-def gemv_1024x64() -> GemvWorkload:
-    """Table VII first GEMV configuration (per-DPU tile 1024x64)."""
-    return GemvWorkload(rows=1024, cols_per_dpu=64)
-
-
-def gemv_2048x128() -> GemvWorkload:
-    """Table VII second GEMV configuration (per-DPU tile 2048x128)."""
-    return GemvWorkload(rows=2048, cols_per_dpu=128)

@@ -141,10 +141,3 @@ def connected_components_reference(graph: Graph) -> np.ndarray:
         if np.array_equal(proposed, labels):
             return labels
         labels = proposed
-
-
-def bfs_levels(graph: Graph, source: int = 0) -> int:
-    """Number of BFS levels (iterations of the distributed algorithm)."""
-    depth = bfs_reference(graph, source)
-    reachable = depth[depth >= 0]
-    return int(reachable.max()) + 1 if reachable.size else 0

@@ -119,12 +119,3 @@ def mlp_reference(weight_stack: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     for weights in weight_stack:
         activation = np.maximum(weights.astype(np.int64) @ activation, 0)
     return activation
-
-
-def mlp_configs() -> dict[str, "MlpWorkload"]:
-    """Table VII MLP configurations as individual square layers."""
-    return {
-        "MLP-256": MlpWorkload(layer_sizes=(256,) * 3),
-        "MLP-512": MlpWorkload(layer_sizes=(512,) * 3),
-        "MLP-1024": MlpWorkload(layer_sizes=(1024,) * 3),
-    }

@@ -88,3 +88,8 @@ def experiment_result(
         runner=RunnerConfig(cache_enabled=False),
         seed=seed,
     ).result
+
+
+def total_dpus(system: PimSystemConfig) -> int:
+    """DPUs across every channel of ``system``."""
+    return system.banks_per_channel * system.num_channels

@@ -37,7 +37,7 @@ class TestRegistry:
             registry.register("B", HostBaselineBackend)
 
     def test_create_many(self, machine):
-        backends = registry.create_many(["B", "P"], machine)
+        backends = {key: registry.create(key, machine) for key in "BP"}
         assert backends["B"].name == "Baseline PIM"
         assert backends["P"].name == "PIMnet"
 

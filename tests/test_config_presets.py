@@ -8,6 +8,8 @@ from repro.config import (
     upmem_server,
 )
 
+from .conftest import total_dpus
+
 
 class TestPimnetSimSystem:
     def test_table_vi_channel(self):
@@ -25,23 +27,24 @@ class TestPimnetSimSystem:
     def test_multi_channel_variant(self):
         machine = pimnet_sim_system(num_channels=4)
         assert machine.system.num_channels == 4
-        assert machine.system.total_dpus == 1024
+        assert total_dpus(machine.system) == 1024
 
 
 class TestUpmemServer:
     def test_2560_dpus(self):
-        assert upmem_server().system.total_dpus == 2560
+        assert total_dpus(upmem_server().system) == 2560
 
     def test_pim_capacity_at_least_table_ii(self):
         # Table II: 171 GB PIM-enabled memory (2560 x 64 MB = 160 GiB).
-        capacity = upmem_server().system.pim_memory_bytes
+        system = upmem_server().system
+        capacity = total_dpus(system) * system.dpu.mram_bytes
         assert capacity == 2560 * 64 * 1024 * 1024
 
 
 class TestSmallTestSystem:
     def test_eight_dpus(self):
         machine = small_test_system()
-        assert machine.system.total_dpus == 8
+        assert total_dpus(machine.system) == 8
         assert machine.system.banks_per_chip == 2
         assert machine.system.chips_per_rank == 2
         assert machine.system.ranks_per_channel == 2

@@ -5,6 +5,8 @@ import pytest
 from repro.config import DpuConfig, HostConfig, PimSystemConfig
 from repro.errors import ConfigurationError
 
+from .conftest import total_dpus
+
 
 class TestDpuConfig:
     def test_upmem_defaults(self):
@@ -50,11 +52,12 @@ class TestPimSystemConfig:
         assert system.ranks_per_channel == 4
         assert system.banks_per_rank == 64
         assert system.banks_per_channel == 256
-        assert system.total_dpus == 256
+        assert total_dpus(system) == 256
 
     def test_pim_memory_capacity(self):
         system = PimSystemConfig()
-        assert system.pim_memory_bytes == 256 * 64 * 1024 * 1024
+        capacity = total_dpus(system) * system.dpu.mram_bytes
+        assert capacity == 256 * 64 * 1024 * 1024
 
     def test_rejects_zero_banks(self):
         with pytest.raises(ConfigurationError):
@@ -83,7 +86,7 @@ class TestPimSystemConfig:
             scaled.chips_per_rank,
             scaled.ranks_per_channel,
         ) == expected
-        assert scaled.total_dpus == dpus
+        assert total_dpus(scaled) == dpus
 
     def test_scaled_beyond_channel_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -20,18 +20,6 @@ class TestConstants:
 
 
 class TestConversions:
-    def test_bytes_per_second(self):
-        assert units.bytes_per_second(16.8) == pytest.approx(16.8e9)
-
-    def test_cycles_round_trip(self):
-        cycles = units.seconds_to_cycles(1e-6, 350e6)
-        assert cycles == pytest.approx(350)
-        assert units.cycles_to_seconds(cycles, 350e6) == pytest.approx(1e-6)
-
-    def test_cycles_to_seconds_rejects_bad_frequency(self):
-        with pytest.raises(ValueError):
-            units.cycles_to_seconds(100, 0)
-
     def test_transfer_time_basic(self):
         assert units.transfer_time(1e9, 1e9) == pytest.approx(1.0)
 
@@ -48,12 +36,6 @@ class TestConversions:
 
 
 class TestFormatting:
-    def test_fmt_bytes_scales(self):
-        assert units.fmt_bytes(512) == "512 B"
-        assert "KiB" in units.fmt_bytes(2048)
-        assert "MiB" in units.fmt_bytes(5 * units.MIB)
-        assert "GiB" in units.fmt_bytes(3 * units.GIB)
-
     def test_fmt_seconds_scales(self):
         assert units.fmt_seconds(0) == "0 s"
         assert "ns" in units.fmt_seconds(5e-9)

@@ -9,7 +9,8 @@ from repro.core import (
     AllReduceAddressGenerator,
     PimnetBackend,
     Shape,
-    alltoall_send_addresses,
+    Tier,
+    alltoall_schedule,
 )
 from repro.errors import ScheduleError
 
@@ -74,12 +75,16 @@ class TestAllReduceAddresses:
                 Collective.ALL_REDUCE, generator.num_elements * 8
             )
         )
-        assert generator.total_time_s == pytest.approx(
+        phase_offsets = (
+            generator.t_rs_bank + generator.t_rs_chip + generator.t_rs_rank
+            + generator.t_ag_rank + generator.t_ag_chip + generator.t_ag_bank
+        )
+        assert phase_offsets == pytest.approx(
             tiers.bank_s + tiers.chip_s + tiers.rank_s
         )
 
     def test_all_plans_cover_all_banks(self, generator):
-        plans = generator.all_plans()
+        plans = [generator.plan(d) for d in range(generator.shape.num_dpus)]
         assert len(plans) == generator.shape.num_dpus
         assert [p.dpu for p in plans] == list(range(len(plans)))
 
@@ -106,11 +111,23 @@ class TestAllReduceAddresses:
                 assert p9.start_address == p0.start_address + 1000
 
 
+def alltoall_sends(shape, num_elements):
+    """Source DPU -> its ``(destination, source offset)`` All-to-All sends."""
+    sends = {dpu: [] for dpu in range(shape.num_dpus)}
+    for phase in alltoall_schedule(shape, num_elements).phases:
+        if phase.tier is Tier.LOCAL:
+            continue
+        for step in phase.steps:
+            for t in step.transfers:
+                sends[t.src].append((t.dst, t.src_offset))
+    return sends
+
+
 class TestAllToAllAddresses:
     def test_send_addresses_are_destination_indexed(self):
         """Fig 9(b): the chunk for N_j sits at base + j*chunk."""
         shape = Shape(2, 2, 2)
-        addresses = alltoall_send_addresses(shape, 64, dpu=3)
+        addresses = alltoall_sends(shape, 64)[3]
         chunk = 64 // shape.num_dpus
         assert len(addresses) == shape.num_dpus - 1
         for dst, address in addresses:
@@ -119,16 +136,12 @@ class TestAllToAllAddresses:
 
     def test_addresses_cover_all_peers(self):
         shape = Shape(2, 2, 2)
-        addresses = alltoall_send_addresses(shape, 64, dpu=0)
+        addresses = alltoall_sends(shape, 64)[0]
         assert sorted(dst for dst, _ in addresses) == list(range(1, 8))
-
-    def test_invalid_dpu_rejected(self):
-        with pytest.raises(ScheduleError):
-            alltoall_send_addresses(Shape(2, 2, 2), 64, dpu=8)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ScheduleError):
-            alltoall_send_addresses(Shape(2, 2, 2), 63, dpu=0)
+            alltoall_schedule(Shape(2, 2, 2), 63)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +215,7 @@ class TestAllReducePlanProperties:
         address; no two sends from one DPU overlap."""
         shape, num_elements = case
         chunk = num_elements // shape.num_dpus
-        for dpu in range(shape.num_dpus):
-            addresses = alltoall_send_addresses(shape, num_elements, dpu)
+        for addresses in alltoall_sends(shape, num_elements).values():
             seen = set()
             for dst, address in addresses:
                 assert address == dst * chunk

@@ -1,19 +1,27 @@
 """Multi-channel collective composition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.collectives import Collective, CollectiveRequest
 from repro.config import pimnet_sim_system
-from repro.core.multichannel import (
-    channel_scaling_series,
-    multichannel_collective,
-)
+from repro.core.multichannel import multichannel_collective
 from repro.errors import BackendError
 
 
 def request(pattern=Collective.ALL_REDUCE, payload=32 * 1024):
     return CollectiveRequest(pattern, payload, dtype=np.dtype(np.int64))
+
+
+def channel_scaling_series(machine, request, channel_counts=(1, 2, 4, 8)):
+    """(channels, total time) of a PIMnet collective, Fig 16 style."""
+    out = []
+    for k in channel_counts:
+        m = replace(machine, system=replace(machine.system, num_channels=k))
+        out.append((k, multichannel_collective(m, request, "P").total_s))
+    return out
 
 
 class TestSingleChannel:

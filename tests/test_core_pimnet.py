@@ -70,15 +70,15 @@ class TestStopSpec:
         spec = PimnetStopSpec()
         assert spec.channel_width_bits == 16
         assert spec.num_channels == 4
-        assert spec.traversal_cycles() == 1
-
-    def test_datapath_bits(self):
-        assert PimnetStopSpec().datapath_bits == 64
+        assert spec.traversal_stages == 1
 
     def test_from_tier(self, machine):
-        spec = PimnetStopSpec.from_tier(machine.pimnet.inter_bank)
-        assert spec.channel_width_bits == 16
-        assert spec.num_channels == 4
+        # The default stop carries the inter-bank tier's channel geometry.
+        spec = PimnetStopSpec()
+        tier = machine.pimnet.inter_bank
+        assert (tier.width_bits, tier.num_channels) == (16, 4)
+        assert spec.channel_width_bits == tier.width_bits
+        assert spec.num_channels == tier.num_channels
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,16 +1,13 @@
-"""Phase-level compute model and its consistency with the interpreter."""
+"""Phase-level compute model and its consistency with the interpreter oracle."""
 
 import numpy as np
 import pytest
 
 from repro.config import DpuConfig, Op, gddr6_aim_profile, upmem_profile
-from repro.dpu import (
-    ComputeModel,
-    Dpu,
-    OpCounts,
-    vector_add_kernel,
-)
+from repro.dpu import ComputeModel, OpCounts
 from repro.errors import WorkloadError
+
+from .dpu_oracle import Dpu, vector_add_kernel
 
 
 @pytest.fixture
@@ -40,12 +37,6 @@ class TestOpCounts:
     def test_negative_scale_rejected(self):
         with pytest.raises(WorkloadError):
             OpCounts(counts={}).scaled(-1)
-
-    def test_arithmetic_ops_excludes_memory(self):
-        work = OpCounts(
-            counts={Op.INT_ADD: 5, Op.LOAD: 100, Op.INT_MUL: 3}
-        )
-        assert work.arithmetic_ops == 8
 
 
 class TestComputeModel:
@@ -90,8 +81,8 @@ class TestModelVsInterpreter:
         n = 128
         dpu = Dpu()
         a = rng.integers(0, 100, n).astype(np.uint32)
-        dpu.memory.wram.write_array(0, a)
-        dpu.memory.wram.write_array(2048, a)
+        dpu.words(0, a.size)[:] = a
+        dpu.words(2048, a.size)[:] = a
         result = dpu.run(
             vector_add_kernel(0, 2048, 4096),
             num_tasklets=16,

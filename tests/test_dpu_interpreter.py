@@ -1,10 +1,8 @@
 """Functional DPU interpreter: arithmetic, memory, control flow, tasklets."""
 
-import numpy as np
 import pytest
 
-from repro.dpu import Dpu, Instruction, Opcode, Program
-from repro.errors import IsaError
+from .dpu_oracle import Dpu, Instruction, IsaError, Opcode, Program
 
 
 def run_single(instrs, init=None, **kwargs):
@@ -28,7 +26,7 @@ class TestArithmetic:
         p.emit(Instruction(Opcode.SW, rs1=0, rs2=3, imm=0))
         p.emit(Instruction(Opcode.HALT))
         dpu.run(p.resolve())
-        assert dpu.memory.wram.read_array(0, 1, np.uint32)[0] == 12
+        assert dpu.words(0, 1)[0] == 12
 
     def test_mul_wraps_32bit(self):
         dpu = Dpu()
@@ -38,7 +36,7 @@ class TestArithmetic:
         p.emit(Instruction(Opcode.SW, rs1=0, rs2=2, imm=0))
         p.emit(Instruction(Opcode.HALT))
         dpu.run(p.resolve())
-        assert dpu.memory.wram.read_array(0, 1, np.uint32)[0] == 0
+        assert dpu.words(0, 1)[0] == 0
 
     def test_sub_wraps(self):
         dpu = Dpu()
@@ -47,7 +45,7 @@ class TestArithmetic:
         p.emit(Instruction(Opcode.SW, rs1=0, rs2=1, imm=0))
         p.emit(Instruction(Opcode.HALT))
         dpu.run(p.resolve(), init_registers={0: {2: 1}})
-        assert dpu.memory.wram.read_array(0, 1, np.uint32)[0] == 0xFFFFFFFF
+        assert dpu.words(0, 1)[0] == 0xFFFFFFFF
 
     def test_logic_and_shifts(self):
         dpu = Dpu()
@@ -64,7 +62,7 @@ class TestArithmetic:
             p.emit(Instruction(Opcode.SW, rs1=0, rs2=reg, imm=4 * i))
         p.emit(Instruction(Opcode.HALT))
         dpu.run(p.resolve())
-        values = dpu.memory.wram.read_array(0, 5, np.uint32)
+        values = dpu.words(0, 5)
         assert list(values) == [0b1000, 0b1110, 0b0110, 0b110000, 0b11]
 
 
@@ -81,7 +79,7 @@ class TestControlFlow:
         p.emit(Instruction(Opcode.SW, rs1=0, rs2=2, imm=0))
         p.emit(Instruction(Opcode.HALT))
         dpu.run(p.resolve(), init_registers={0: {0: 0}})
-        assert dpu.memory.wram.read_array(0, 1, np.uint32)[0] == 10
+        assert dpu.words(0, 1)[0] == 10
 
     def test_blt_signed_comparison(self):
         dpu = Dpu()
@@ -95,7 +93,7 @@ class TestControlFlow:
         p.emit(Instruction(Opcode.SW, rs1=0, rs2=3, imm=0))
         p.emit(Instruction(Opcode.HALT))
         dpu.run(p.resolve(), init_registers={0: {0: 0}})
-        assert dpu.memory.wram.read_array(0, 1, np.uint32)[0] == 0
+        assert dpu.words(0, 1)[0] == 0
 
     def test_infinite_loop_detected(self):
         dpu = Dpu()
@@ -116,6 +114,14 @@ class TestMemorySemantics:
         with pytest.raises(IsaError):
             dpu.run(p.resolve(), init_registers={0: {0: 0}})
 
+    def test_out_of_range_store_rejected(self):
+        dpu = Dpu()
+        p = Program()
+        p.emit(Instruction(Opcode.SW, rs1=0, rs2=0, imm=dpu.wram.size))
+        p.emit(Instruction(Opcode.HALT))
+        with pytest.raises(IsaError):
+            dpu.run(p.resolve())
+
 
 class TestTasklets:
     def test_register_zero_is_tasklet_id(self):
@@ -127,7 +133,7 @@ class TestTasklets:
         p.emit(Instruction(Opcode.SW, rs1=4, rs2=0, imm=0))
         p.emit(Instruction(Opcode.HALT))
         dpu.run(p.resolve(), num_tasklets=4)
-        values = dpu.memory.wram.read_array(0, 4, np.uint32)
+        values = dpu.words(0, 4)
         assert list(values) == [0, 1, 2, 3]
 
     def test_tasklet_count_validated(self):

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.dpu import EXTRA_SLOTS, Instruction, Opcode, Program
-from repro.errors import IsaError
+from .dpu_oracle import EXTRA_SLOTS, Instruction, IsaError, Opcode, Program
 
 
 class TestInstruction:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dpu import (
+from .dpu_oracle import (
     Dpu,
     reduce_sum_kernel,
     vector_add_kernel,
@@ -26,15 +26,15 @@ class TestVectorAdd:
         dpu = Dpu()
         a = rng.integers(0, 1000, n).astype(np.uint32)
         b = rng.integers(0, 1000, n).astype(np.uint32)
-        dpu.memory.wram.write_array(0, a)
-        dpu.memory.wram.write_array(1024, b)
+        dpu.words(0, a.size)[:] = a
+        dpu.words(1024, b.size)[:] = b
         program = vector_add_kernel(a_base=0, b_base=1024, out_base=2048)
         dpu.run(
             program,
             num_tasklets=num_tasklets,
             init_registers=init_tasklets(num_tasklets, n),
         )
-        out = dpu.memory.wram.read_array(2048, n, np.uint32)
+        out = dpu.words(2048, n)
         assert np.array_equal(out, a + b)
 
     def test_ragged_length(self, rng):
@@ -43,11 +43,11 @@ class TestVectorAdd:
         dpu = Dpu()
         a = rng.integers(0, 100, n).astype(np.uint32)
         b = rng.integers(0, 100, n).astype(np.uint32)
-        dpu.memory.wram.write_array(0, a)
-        dpu.memory.wram.write_array(512, b)
+        dpu.words(0, a.size)[:] = a
+        dpu.words(512, b.size)[:] = b
         program = vector_add_kernel(a_base=0, b_base=512, out_base=1024)
         dpu.run(program, num_tasklets=5, init_registers=init_tasklets(5, n))
-        out = dpu.memory.wram.read_array(1024, n, np.uint32)
+        out = dpu.words(1024, n)
         assert np.array_equal(out, a + b)
 
 
@@ -56,14 +56,14 @@ class TestVectorScale:
         n = 32
         dpu = Dpu()
         a = rng.integers(0, 100, n).astype(np.uint32)
-        dpu.memory.wram.write_array(0, a)
+        dpu.words(0, a.size)[:] = a
         program = vector_scale_kernel(a_base=0, out_base=512)
         dpu.run(
             program,
             num_tasklets=4,
             init_registers=init_tasklets(4, n, extra={8: 7}),
         )
-        out = dpu.memory.wram.read_array(512, n, np.uint32)
+        out = dpu.words(512, n)
         assert np.array_equal(out, a * 7)
 
     def test_mul_kernel_slower_than_add_kernel(self, rng):
@@ -71,8 +71,8 @@ class TestVectorScale:
         n = 64
         dpu = Dpu()
         a = rng.integers(0, 100, n).astype(np.uint32)
-        dpu.memory.wram.write_array(0, a)
-        dpu.memory.wram.write_array(1024, a)
+        dpu.words(0, a.size)[:] = a
+        dpu.words(1024, a.size)[:] = a
         add = dpu.run(
             vector_add_kernel(0, 1024, 2048),
             num_tasklets=8,
@@ -92,14 +92,12 @@ class TestReduceSum:
         n = 48
         dpu = Dpu()
         a = rng.integers(0, 1000, n).astype(np.uint32)
-        dpu.memory.wram.write_array(0, a)
+        dpu.words(0, a.size)[:] = a
         program = reduce_sum_kernel(a_base=0, out_base=4096)
         dpu.run(
             program,
             num_tasklets=num_tasklets,
             init_registers=init_tasklets(num_tasklets, n),
         )
-        partials = dpu.memory.wram.read_array(
-            4096, num_tasklets, np.uint32
-        )
+        partials = dpu.words(4096, num_tasklets)
         assert partials.sum() == a.sum()

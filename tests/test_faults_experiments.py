@@ -25,7 +25,9 @@ class TestFaultSweep:
         assert sweep_result.monotone_bandwidth()
 
     def test_fault_free_point_is_clean(self, sweep_result):
-        assert sweep_result.fault_free_point_clean()
+        """At factor 0 every trial completes with zero fault cost."""
+        assert sweep_result.completion_rates[0] == 1.0
+        assert sweep_result.mean_retries[0] == 0
 
     def test_completion_rate_never_recovers(self, sweep_result):
         rates = sweep_result.completion_rates
@@ -51,13 +53,17 @@ class TestFaultSweep:
 
 class TestStragglerTail:
     def test_tail_grows_with_severity(self, tail_result):
-        assert tail_result.growing_tail()
+        """p99 latency never shrinks as straggler severity grows."""
+        p99s = tail_result.p99s
+        assert all(b >= a - 1e-12 for a, b in zip(p99s, p99s[1:]))
 
     def test_severity_one_injects_no_visible_straggler(self, tail_result):
         assert tail_result.degraded_fractions[0] == 0.0
 
     def test_tail_amplification_at_least_one(self, tail_result):
-        assert tail_result.tail_amplification() >= 1.0
+        """p99/p50 at the worst severity: how unfair the tail gets."""
+        assert tail_result.p50s[-1] > 0
+        assert tail_result.p99s[-1] / tail_result.p50s[-1] >= 1.0
 
     def test_p999_dominates_p50(self, tail_result):
         for p50, p999 in zip(tail_result.p50s, tail_result.p999s):

@@ -109,6 +109,24 @@ class TestEquivalenceDirected:
         ]
         assert_equivalent(net, messages)
 
+    def test_bus_rotation_across_three_ranks(self):
+        """Each rank sends to the next over the shared bus. The bus
+        serializes a flit in one cycle, 16 times faster than the chip
+        links that feed it, so its members contend only when flits reach
+        different crossbars in the same cycle; the late third message
+        makes that happen right after a grant, when the round-robin
+        pointer (``SharedMedium.advance_after``, ``_arb_sort_key``)
+        decides the winner."""
+        shape = Shape(2, 1, 3)
+        net = NocNetwork(shape)
+        messages = [
+            Message(msg_id=r, src=shape.dpu(r, 0, 0),
+                    dst=shape.dpu((r + 1) % 3, 0, 1), num_flits=3,
+                    ready_cycle=16 if r == 2 else 0)
+            for r in range(3)
+        ]
+        assert_equivalent(net, messages)
+
 
 @st.composite
 def random_workload(
@@ -160,6 +178,47 @@ def random_workload(
     return shape, workload, barriers
 
 
+@st.composite
+def hot_chip_workload(draw, shape, messages=(12, 20), flits=(4, 10), ready=(0, 20)):
+    """Traffic aimed at chip (0, 0) of ``shape`` from every other chip.
+
+    Each message is one of three kinds: *in* (a bank off the hot chip
+    to a bank on it, through the crossbar and, across ranks, the bus),
+    *out* (the reverse, so both directions of each tier contend) or
+    *ring* (a hot-chip bank to the bank one or two hops east of it).
+    Only a ring FIFO can queue a flit that ends at its stop behind a
+    transit flit: ``io:*:down`` FIFOs hold flits for their own stop
+    only, and gateway, crossbar and bus FIFOs hold transit flits only.
+    So the *ring* kind is what reaches the deep-queue ejection path,
+    while the *in* and *out* kinds keep the chip and rank tiers busy
+    around it.
+    """
+    hot = [shape.dpu(0, 0, b) for b in range(shape.banks)]
+    cold = [d for d in range(shape.num_dpus) if d not in hot]
+    workload = []
+    for msg_id in range(draw(st.integers(*messages))):
+        kind = draw(st.sampled_from(("in", "ring", "out")))
+        if kind == "ring":
+            b = draw(st.integers(0, shape.banks - 1))
+            hops = draw(st.integers(1, 2))
+            src, dst = hot[b], hot[(b + hops) % shape.banks]
+        else:
+            src = draw(st.sampled_from(cold))
+            dst = draw(st.sampled_from(hot))
+            if kind == "out":
+                src, dst = dst, src
+        workload.append(
+            Message(
+                msg_id=msg_id,
+                src=src,
+                dst=dst,
+                num_flits=draw(st.integers(*flits)),
+                ready_cycle=draw(st.integers(*ready)),
+            )
+        )
+    return workload
+
+
 @pytest.mark.slow
 class TestEquivalenceRandomized:
     @settings(max_examples=50, deadline=None)
@@ -185,6 +244,20 @@ class TestEquivalenceRandomized:
         shape, messages, barriers = workload
         net = NocNetwork(shape)
         assert_equivalent(net, messages, barriers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hot_chip_workload(Shape(4, 2, 1)))
+    def test_crossbar_hot_spot_matches_reference(self, messages):
+        """Two chips of one rank: chip 1 floods chip 0's crossbar port
+        while chip 0's ring carries transit traffic."""
+        assert_equivalent(NocNetwork(Shape(4, 2, 1)), messages)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hot_chip_workload(Shape(4, 1, 2)))
+    def test_bus_hot_spot_matches_reference(self, messages):
+        """Two ranks of one chip: rank 1 sends to rank 0 over the shared
+        bus, rank 0 answers, and rank 0's ring carries transit traffic."""
+        assert_equivalent(NocNetwork(Shape(4, 1, 2)), messages)
 
 
 class TestBarrierReleaseOrdering:

@@ -19,7 +19,9 @@ class TestLoadLatencyCurve:
         assert all(b >= a for a, b in zip(lat, lat[1:]))
 
     def test_saturation_regime_reached(self, result):
-        assert result.saturation_visible()
+        """Latency at the top rate well above the low-load latency."""
+        lat = result.mean_latency_cycles
+        assert lat[-1] > 2 * lat[0]
 
     def test_completion_time_shrinks_with_rate(self, result):
         """Higher injection rate = denser schedule = earlier completion

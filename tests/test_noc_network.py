@@ -12,6 +12,11 @@ def net() -> NocNetwork:
     return NocNetwork(Shape(4, 2, 2))
 
 
+def stop_name(net: NocNetwork, dpu: int) -> str:
+    r, c, b = net.shape.coords(dpu)
+    return f"stop:{r}:{c}:{b}"
+
+
 class TestConstruction:
     def test_ring_links_both_directions(self, net):
         east = [n for n in net.links if ">E" in n]
@@ -75,8 +80,8 @@ class TestRouting:
                 if src == dst:
                     continue
                 path = net.path(src, dst)
-                assert path[0].src_router == net.stop_name(src)
-                assert path[-1].dst_router == net.stop_name(dst)
+                assert path[0].src_router == stop_name(net, src)
+                assert path[-1].dst_router == stop_name(net, dst)
                 # hops chain together
                 for a, b in zip(path, path[1:]):
                     assert a.dst_router == b.src_router

@@ -28,6 +28,11 @@ from repro.observability import (
 PAYLOAD = 1 << 20  # 1 MiB per DPU; divisible by 8 x 256
 
 
+def find_span(root, name):
+    """The first span named ``name`` in a tracer or span, depth first."""
+    return next((s for s in root.walk() if s.name == name), None)
+
+
 @pytest.fixture(scope="module")
 def machine():
     return pimnet_sim_system()
@@ -40,12 +45,12 @@ class TestTimelineSpans:
         tracer = Tracer()
         with use_tracer(tracer):
             timeline = allreduce_timeline(PAYLOAD, machine)
-        root = tracer.find("timeline/allreduce")
+        root = find_span(tracer, "timeline/allreduce")
         assert root is not None
         assert root.sim_start_s == 0.0
         assert root.sim_end_s == pytest.approx(timeline.total_s)
         for entry in timeline.entries:
-            span = root.find(f"{entry.domain}-{entry.phase}")
+            span = find_span(root, f"{entry.domain}-{entry.phase}")
             assert span is not None, (entry.domain, entry.phase)
             assert span.sim_start_s == pytest.approx(entry.start_s)
             assert span.sim_duration_s == pytest.approx(entry.duration_s)
@@ -54,7 +59,7 @@ class TestTimelineSpans:
         tracer = Tracer()
         with use_tracer(tracer):
             allreduce_timeline(PAYLOAD, machine)
-        root = tracer.find("timeline/allreduce")
+        root = find_span(tracer, "timeline/allreduce")
         names = [c.name for c in root.children]
         assert names == ["bank-RS", "chip-RS", "rank-RS",
                          "rank-AG", "chip-AG", "bank-AG", "sync"]
@@ -63,7 +68,7 @@ class TestTimelineSpans:
         tracer = Tracer()
         with use_tracer(tracer):
             timeline = allreduce_timeline(PAYLOAD, machine)
-        sync = tracer.find("sync")
+        sync = find_span(tracer, "sync")
         transport = max(e.end_s for e in timeline.entries)
         assert sync.sim_start_s == pytest.approx(transport)
         assert sync.sim_end_s == pytest.approx(transport + timeline.sync_s)
@@ -81,7 +86,7 @@ class TestBackendSpans:
         request = CollectiveRequest(Collective.ALL_REDUCE, PAYLOAD)
         with use_tracer(tracer):
             breakdown = registry.create("P", machine).timing(request)
-        span = tracer.find("timing/P")
+        span = find_span(tracer, "timing/P")
         assert span is not None
         assert span.attributes["backend"] == "P"
         assert span.attributes["request"] == request.summary()
@@ -139,7 +144,7 @@ class TestNocInstrumentation:
         tracer, metrics = Tracer(), MetricsRegistry()
         with use_tracer(tracer), use_metrics(metrics):
             stats = NocSimulator(net, [msg]).run()
-        span = tracer.find("noc/run")
+        span = find_span(tracer, "noc/run")
         assert span is not None
         assert span.attributes["num_messages"] == 1
         assert span.attributes["cycles"] == stats.cycles

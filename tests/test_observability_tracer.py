@@ -48,16 +48,6 @@ class TestSpanNesting:
                 pass
         assert [s.name for s in tracer.walk()] == ["a", "b", "c", "d"]
 
-    def test_find_and_find_all(self):
-        tracer = Tracer()
-        with tracer.span("phase"):
-            pass
-        with tracer.span("phase"):
-            pass
-        assert tracer.find("phase") is tracer.roots[0]
-        assert len(tracer.find_all("phase")) == 2
-        assert tracer.find("missing") is None
-
     def test_current_tracks_innermost_open_span(self):
         tracer = Tracer()
         assert tracer.current is None
@@ -117,7 +107,7 @@ class TestSpanAttributes:
     def test_attribute_setters_chain(self):
         tracer = Tracer()
         with tracer.span("s", payload=8) as span:
-            span.set_attribute("tier", "bank").set_attributes(steps=7, x=1)
+            span.set_attributes(tier="bank").set_attributes(steps=7, x=1)
         assert span.attributes == {"payload": 8, "tier": "bank",
                                    "steps": 7, "x": 1}
 
@@ -152,7 +142,6 @@ class TestDisabledPath:
         span = NULL_SPAN
         with span as entered:
             assert entered is NULL_SPAN
-        assert span.set_attribute("k", 1) is NULL_SPAN
         assert span.set_attributes(a=2) is NULL_SPAN
         assert span.set_sim_window(0.0, 1.0) is NULL_SPAN
         assert isinstance(span, NullSpan)

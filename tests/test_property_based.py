@@ -17,7 +17,6 @@ from repro.core import (
     execute_schedule,
     owned_range,
 )
-from repro.memory import SparseMemory
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -163,31 +162,4 @@ class TestScheduleProperties:
             assert not seen[off : off + length].any()
             seen[off : off + length] = True
         assert seen.all()
-
-
-# ---------------------------------------------------------------------------
-# memory substrate
-# ---------------------------------------------------------------------------
-
-
-class TestMemoryProperties:
-    @given(
-        writes=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=4000),
-                st.binary(min_size=1, max_size=64),
-            ),
-            max_size=20,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_sparse_memory_acts_like_bytearray(self, writes):
-        mem = SparseMemory(8192, page_bytes=128)
-        shadow = bytearray(8192)
-        for address, data in writes:
-            if address + len(data) > 8192:
-                continue
-            mem.write(address, data)
-            shadow[address : address + len(data)] = data
-        assert bytes(mem.read(0, 8192)) == bytes(shadow)
 

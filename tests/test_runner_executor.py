@@ -176,8 +176,7 @@ def toy_registry():
         yield
     finally:
         for spec in TOY_SPECS:
-            if spec.experiment_id in REGISTRY:
-                REGISTRY.unregister(spec.experiment_id)
+            REGISTRY._specs.pop(spec.experiment_id, None)
 
 
 @pytest.fixture

@@ -88,8 +88,7 @@ class TestEnqueue:
         assert "max_queued=1" in reason
         # Another tenant is unaffected.
         assert queue.try_enqueue(make_entry(2, "b", PATTERNS[0], 1)) is None
-        assert queue.tenant_depth("a") == 1
-        assert queue.tenant_depth("b") == 1
+        assert queue.depth == 2
 
 
 class TestSelect:

