@@ -12,9 +12,31 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.noc_load_latency import high_load_workload
+from repro.experiments.noc_load_latency import (
+    INJECTION_RATES,
+    build_point_workload,
+)
 from repro.noc import NocSimulator
 from tests.noc_oracle import simulate as oracle
+
+
+def high_load_workload():
+    """The saturating benchmark point: max sweep rate, larger fabric.
+
+    Contention concentrates on the crossbars and the shared bus while
+    most ring links idle, so most requests wait on a busy wire or a
+    full buffer: the regime where arbitrating only the links that can
+    move pays off over the oracle's every-link-every-cycle scan.
+    """
+    return build_point_workload(
+        rate=INJECTION_RATES[-1],
+        banks=4,
+        chips=4,
+        ranks=2,
+        messages_per_dpu=8,
+        flits_per_message=4,
+        seed=5,
+    )
 
 
 def _time_loop(runner) -> tuple[float, object]:
@@ -48,4 +70,4 @@ def test_event_loop_speedup():
     )
     # The floor is set below the measured ratio to tolerate noisy shared
     # CI runners without letting a real regression through.
-    assert speedup >= 2.0
+    assert speedup >= 5.0

@@ -8,8 +8,8 @@ saturation point, credit back-pressure sends latency super-linear —
 exactly the regime PIMnet's static scheduling is designed to avoid.
 
 Sweeping many offered-load points is what the event-driven cycle loop
-(see ``docs/NOC.md``) exists for; ``high_load_workload`` pins the
-saturating point at which ``benchmarks/test_noc_sim.py`` times
+(see ``docs/NOC.md``) exists for; ``benchmarks/test_noc_sim.py`` builds
+its saturating point with :func:`build_point_workload` and times
 :meth:`NocSimulator.run` against the cycle-by-cycle oracle in
 ``tests/noc_oracle.py``.
 """
@@ -101,32 +101,6 @@ def build_point_workload(
             )
         )
     return network, messages
-
-
-def high_load_workload(
-    banks: int = 4,
-    chips: int = 4,
-    ranks: int = 2,
-    messages_per_dpu: int = 8,
-    flits_per_message: int = 4,
-    seed: int = 5,
-) -> tuple[NocNetwork, list[Message]]:
-    """The saturating benchmark point: max sweep rate, larger fabric.
-
-    Contention concentrates on the crossbars and the shared bus while
-    most ring links idle — exactly the regime where the event-driven
-    loop's active-router tracking pays off over the oracle's
-    every-link-every-cycle scan.
-    """
-    return build_point_workload(
-        rate=INJECTION_RATES[-1],
-        banks=banks,
-        chips=chips,
-        ranks=ranks,
-        messages_per_dpu=messages_per_dpu,
-        flits_per_message=flits_per_message,
-        seed=seed,
-    )
 
 
 def _point(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from ..errors import SimulationError
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One logical transfer between two DPUs, segmented into flits.
 
@@ -40,7 +40,7 @@ class Message:
         return self.delivered_flits >= self.num_flits
 
 
-@dataclass
+@dataclass(slots=True)
 class Flit:
     """One flow-control unit traversing a precomputed path.
 

@@ -8,6 +8,9 @@ The event-driven simulator loop drives these primitives:
   scheduled monotonically because a link serializes flits), so
   :meth:`Link.deliver_arrivals` pops from the front instead of
   rebuilding the list;
+* a link's FIFOs (``buffer`` and ``in_flight``) exist only while a run
+  is live: :meth:`Link.reset` creates them and :meth:`Link.release`
+  drops them, so a network built ahead of its run holds no deques;
 * :class:`SharedMedium` tracks its member links and a round-robin grant
   pointer so bus arbitration rotates instead of statically favoring
   whichever link happens to come first in the network's link dict.
@@ -54,7 +57,7 @@ class SharedMedium:
         self.rr_index = 0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Link:
     """A directed channel between two routers with credit flow control.
 
@@ -62,7 +65,8 @@ class Link:
     bandwidth); ``latency_cycles`` is the pipeline latency to the
     downstream buffer; ``buffer_depth`` is the downstream input FIFO
     capacity, and ``credits`` counts the free slots the upstream side
-    may still consume.
+    may still consume.  ``buffer`` and ``in_flight`` are ``None`` outside
+    a run (between :meth:`release` and the next :meth:`reset`).
     """
 
     name: str
@@ -75,8 +79,8 @@ class Link:
     # -- simulation state --
     credits: int = field(init=False)
     next_free_cycle: int = field(init=False, default=0)
-    buffer: deque = field(init=False, default_factory=deque)
-    in_flight: deque = field(init=False, default_factory=deque)
+    buffer: deque | None = field(init=False, default=None)
+    in_flight: deque | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.cycles_per_flit < 1:
@@ -136,8 +140,13 @@ class Link:
             raise SimulationError(f"{self.name}: credit overflow")
 
     def reset(self) -> None:
-        """Clear simulation state for a fresh run."""
+        """Start a fresh run: full credits, an idle wire, empty FIFOs."""
         self.credits = self.buffer_depth
         self.next_free_cycle = 0
-        self.buffer.clear()
-        self.in_flight.clear()
+        self.buffer = deque()
+        self.in_flight = deque()
+
+    def release(self) -> None:
+        """End a run: drop the FIFOs and any flits still in them."""
+        self.buffer = None
+        self.in_flight = None

@@ -179,6 +179,12 @@ class NocNetwork:
         return tuple(hops)
 
     def reset(self) -> None:
+        """Start a fresh run on every link and on the bus."""
         for link in self.links.values():
             link.reset()
         self.bus_medium.reset()
+
+    def release(self) -> None:
+        """End a run: every link drops its FIFOs (see :meth:`Link.release`)."""
+        for link in self.links.values():
+            link.release()

@@ -18,10 +18,15 @@ The same simulator runs both of Fig 13's configurations:
 The production loop (:meth:`NocSimulator.run`) is event-driven: it keeps
 a min-heap of "interesting" cycles (message ready times, flit arrivals,
 link/medium free times, plus the cycle after any state change) and
-fast-forwards between them, touching only routers that hold flits and
-links that have pending arrivals.  Equivalence tests hold its output
+fast-forwards between them.  Its work scales with grants, not with
+waiting requests: each link keeps the set of input ports whose head
+requests it, only links that can take a flit are arbitrated (the rest
+are parked until their wire and medium free up or a credit returns),
+and only buffers whose head reached its stop are ejected.  Link FIFOs
+exist only while a run is live.  Equivalence tests hold its output
 byte-for-byte equal to an independent cycle-by-cycle oracle under
-``tests/`` (see ``docs/NOC.md``).
+``tests/`` (see ``docs/NOC.md``, which also gives the exactness
+argument for parking).
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 
 from ..errors import SimulationError
 from ..observability import (
@@ -44,13 +48,6 @@ from .links import Link, SharedMedium
 from .network import NocNetwork
 
 
-@dataclass
-class _InjectionQueue:
-    """Per-DPU NIC queue feeding the local stop."""
-
-    flits: deque = field(default_factory=deque)
-
-
 class _RunState:
     """Per-run mutable state of the event-driven loop and its helpers."""
 
@@ -59,9 +56,9 @@ class _RunState:
         "injection",
         "not_injected",
         "remaining",
-        "links",
         "pos",
         "router_ports",
+        "port_index",
         "rr",
         "medium_base",
         "member_pos",
@@ -69,9 +66,11 @@ class _RunState:
         "barrier_order",
         "msg_rank",
         "frontier",
-        "req_count",
-        "requested",
-        "buffered",
+        "req_ports",
+        "armed",
+        "parked",
+        "starved",
+        "ejectable",
         "inject_dirty",
         "ready_heap",
         "arb_heap",
@@ -81,22 +80,32 @@ class _RunState:
 
     def __init__(self) -> None:
         self.stats = SimStats()
-        self.injection: dict[int, _InjectionQueue] = {}
+        # DPU -> (its NIC queue, the NIC's port index at its stop)
+        self.injection: dict[int, tuple[deque, int]] = {}
         self.not_injected: deque = deque()
         self.remaining = 0
-        self.links: list[Link] = []
         self.pos: dict[Link, int] = {}
-        self.router_ports: dict[str, list[tuple[str, object]]] = {}
-        self.rr: dict[str, int] = {}
+        # router -> stable input ports: links, then the NIC queue if any
+        self.router_ports: dict[str, list[Link | deque]] = {}
+        self.port_index: dict[Link, int] = {}
+        self.rr: dict[Link, int] = {}
         self.medium_base: dict[SharedMedium, int] = {}
         self.member_pos: dict[Link, int] = {}
         self.outstanding: dict[int, int] = {}
         self.barrier_order: list[int] = []
         self.msg_rank: dict[int, int] = {}
         self.frontier = 0
-        self.req_count: dict[Link, int] = {}
-        self.requested: set[Link] = set()
-        self.buffered: set[Link] = set()
+        # Requests: output link -> port indices whose head wants it.  A
+        # requested link is in exactly one of ``armed`` (it could take a
+        # flit when last checked), ``parked`` (a heap of (wake cycle,
+        # pos, link) for a busy wire or medium) or ``starved`` (no
+        # credit; a credit return wakes it).
+        self.req_ports: dict[Link, set[int]] = {}
+        self.armed: set[Link] = set()
+        self.parked: list[tuple[int, int, Link]] = []
+        self.starved: set[Link] = set()
+        # Links whose head flit has reached its stop.
+        self.ejectable: set[Link] = set()
         self.inject_dirty = False
         self.ready_heap: list[int] = []
         # Step-4 worklist (only live inside the event loop's allocation
@@ -175,7 +184,10 @@ class NocSimulator:
             num_messages=len(self.messages),
             scheduled=self.use_barriers,
         ) as span:
-            stats = self._run(max_cycles)
+            try:
+                stats = self._run(max_cycles)
+            finally:
+                self.network.release()
             span.set_attributes(
                 cycles=stats.cycles,
                 flits_delivered=stats.flits_delivered,
@@ -256,22 +268,25 @@ class NocSimulator:
                 )
 
         links = list(network.links.values())
-        state.links = links
         state.pos = {link: i for i, link in enumerate(links)}
-        state.rr = {link.name: 0 for link in links}
+        state.rr = dict.fromkeys(links, 0)
         # Input ports per router, in stable construction order, with the
         # NIC as the final port of every stop router.  The round-robin
         # pointer of each output link indexes this fixed port list, so
         # it keeps meaning something when the set of *requesting* ports
         # changes from cycle to cycle.
-        ports: dict[str, list[tuple[str, object]]] = {}
+        ports: dict[str, list[Link | deque]] = {}
         for link in links:
-            ports.setdefault(link.dst_router, []).append(("link", link))
+            inputs = ports.setdefault(link.dst_router, [])
+            state.port_index[link] = len(inputs)
+            inputs.append(link)
             ports.setdefault(link.src_router, [])
-        for router in ports:
+        for router, inputs in ports.items():
             nic_dpu = self._nic_dpu(router)
             if nic_dpu >= 0:
-                ports[router].append(("nic", nic_dpu))
+                queue: deque = deque()
+                state.injection[nic_dpu] = (queue, len(inputs))
+                inputs.append(queue)
         state.router_ports = ports
         # Arbitration ordering: plain links keep their stable position;
         # a shared medium's members are grouped at the position of the
@@ -293,41 +308,88 @@ class NocSimulator:
         return (state.medium_base[medium], rot)
 
     # -- request tracking ---------------------------------------------------------------
-    # Every head-of-queue flit (input buffer or NIC) holds exactly one
-    # "request" on its next output link; the event loop arbitrates only
-    # requested links.  A request appearing *during* switch allocation
-    # (a grant or ejection reveals a new head) joins the in-flight
-    # worklist if its position has not been passed yet — exactly the
-    # links a loop that visits every link in arbitration order would
-    # still reach this cycle.
-    def _req_inc(self, state: _RunState, link: Link) -> None:
-        count = state.req_count.get(link, 0)
-        state.req_count[link] = count + 1
-        if count == 0:
-            state.requested.add(link)
-            heap = state.arb_heap
-            if heap is not None and link not in state.arb_visited:
-                key = self._arb_sort_key(link, state)
-                if key > state.arb_cursor:
-                    heapq.heappush(heap, (key, state.pos[link], link))
+    # Every head-of-queue flit (input buffer or NIC) that has not reached
+    # its stop holds one request, from its port, on its next output link.
+    # A requested link waits in one of three places (see `_RunState`):
+    # only `armed` links enter the step-4 worklist, so arbitration work
+    # scales with the links that can move, not with waiting requests.
+    def _req_add(
+        self, state: _RunState, link: Link, port: int, now: int
+    ) -> None:
+        ports = state.req_ports.get(link)
+        if ports is None:
+            ports = state.req_ports[link] = set()
+        newly_requested = not ports
+        ports.add(port)
+        if newly_requested:
+            self._arm(state, link, now)
 
-    def _req_dec(self, state: _RunState, link: Link) -> None:
-        count = state.req_count[link] - 1
-        state.req_count[link] = count
-        if count == 0:
-            state.requested.discard(link)
+    def _arm(self, state: _RunState, link: Link, now: int) -> None:
+        """File a requested link that is in no wait place yet.
+
+        A link that can take a flit now joins ``armed``; during step 4
+        it also joins the in-flight worklist if its position has not
+        been passed yet, exactly the links a loop that visits every
+        link in arbitration order would still grant this cycle.
+        Within a cycle a wire's and a medium's free cycle only move
+        later, so a credit return is the only thing that can make a
+        link able to move mid-step.
+        """
+        if not link.can_accept(now):
+            self._park(state, link)
+            return
+        state.armed.add(link)
+        heap = state.arb_heap
+        if heap is not None and link not in state.arb_visited:
+            key = self._arb_sort_key(link, state)
+            if key > state.arb_cursor:
+                heapq.heappush(heap, (key, state.pos[link], link))
+
+    def _park(self, state: _RunState, link: Link) -> None:
+        """Put a requested link that cannot take a flit to sleep.
+
+        Without a credit it waits for a credit return (`_credit_back`);
+        otherwise its wire or medium is busy and it wakes at the later
+        of their free cycles.  Both free cycles were pushed as events by
+        the grant that set them, so a wake needs no event of its own.
+        """
+        if link.credits <= 0:
+            state.starved.add(link)
+            return
+        wake = link.next_free_cycle
+        medium = link.medium
+        if medium is not None and medium.next_free_cycle > wake:
+            wake = medium.next_free_cycle
+        heapq.heappush(state.parked, (wake, state.pos[link], link))
+
+    def _credit_back(self, state: _RunState, link: Link, now: int) -> None:
+        """Return one credit to ``link``; wake it if it was starved."""
+        link.return_credit()
+        if link in state.starved:
+            state.starved.discard(link)
+            self._arm(state, link, now)
+
+    def _new_head(self, state: _RunState, link: Link, now: int) -> None:
+        """Register the head flit a delivery, ejection or grant revealed
+        at the front of ``link``'s input buffer."""
+        head = link.buffer[0]
+        if head.at_destination:
+            state.ejectable.add(link)
+        else:
+            state.ejectable.discard(link)
+            self._req_add(state, head.next_link, state.port_index[link], now)
 
     # -- shared per-cycle actions -------------------------------------------------------
     def _inject(self, message: Message, state: _RunState, now: int) -> None:
         message.inject_start_cycle = now
         path = self.network.path(message.src, message.dst)
-        queue = state.injection.setdefault(message.src, _InjectionQueue())
-        was_empty = not queue.flits
+        queue, port = state.injection[message.src]
+        was_empty = not queue
         for seq in range(message.num_flits):
-            queue.flits.append(Flit(message=message, seq=seq, path=path))
+            queue.append(Flit(message=message, seq=seq, path=path))
         message.injected_flits = message.num_flits
         if was_empty:
-            self._req_inc(state, queue.flits[0].next_link)
+            self._req_add(state, queue[0].next_link, port, now)
 
     def _scan_injections(self, state: _RunState, now: int) -> bool:
         """Step 1: move newly eligible messages into their NIC queues."""
@@ -355,10 +417,7 @@ class NocSimulator:
         moved = link.deliver_arrivals(now)
         if moved:
             if was_empty:
-                head = link.buffer[0]
-                if not head.at_destination:
-                    self._req_inc(state, head.next_link)
-            state.buffered.add(link)
+                self._new_head(state, link, now)
             occupancy = len(link.buffer)
             stats = state.stats
             if occupancy > stats.peak_buffer_occupancy:
@@ -370,20 +429,16 @@ class NocSimulator:
     def _eject(self, link: Link, state: _RunState, now: int) -> None:
         """Step 3 for one link: pop a head flit that reached its stop."""
         flit = link.buffer.popleft()
-        link.return_credit()
+        self._credit_back(state, link, now)
         if link.buffer:
-            head = link.buffer[0]
-            if not head.at_destination:
-                self._req_inc(state, head.next_link)
+            self._new_head(state, link, now)
         else:
-            state.buffered.discard(link)
+            state.ejectable.discard(link)
         self._account_delivery(flit, now, state)
         state.remaining -= 1
 
-    def _try_grant(
-        self, link: Link, state: _RunState, now: int
-    ) -> int | None:
-        """Step 4 for one output link: round-robin switch allocation.
+    def _try_grant(self, link: Link, state: _RunState, now: int) -> int:
+        """Step 4 for one armed output link: round-robin switch allocation.
 
         The pointer rotates over the router's *stable* port list (input
         links in construction order, NIC last): the grant goes to the
@@ -391,64 +446,38 @@ class NocSimulator:
         advances just past the grantee — so a persistently backlogged
         port can neither be starved nor double-served when the set of
         requesting ports changes.  Returns the granted flit's arrival
-        cycle, or None when no port requests this output.
+        cycle.
         """
-        ports = state.router_ports.get(link.src_router)
-        if not ports:
-            return None
+        requesting = state.req_ports[link]
+        ports = state.router_ports[link.src_router]
         num_ports = len(ports)
-        pointer = state.rr[link.name]
-        chosen = -1
-        requesting = 0
-        for offset in range(num_ports):
-            i = pointer + offset
-            if i >= num_ports:
-                i -= num_ports
-            kind, obj = ports[i]
-            if kind == "nic":
-                queue = state.injection.get(obj)
-                if queue is None or not queue.flits:
-                    continue
-                head = queue.flits[0]
-                if head.next_link is not link:
-                    continue
-            else:
-                buf = obj.buffer
-                if not buf:
-                    continue
-                head = buf[0]
-                if head.at_destination or head.next_link is not link:
-                    continue
-            requesting += 1
-            if chosen < 0:
-                chosen = i
-        if chosen < 0:
-            return None
         stats = state.stats
-        if requesting > 1:
-            stats.arbitration_conflicts += 1
-        state.rr[link.name] = (chosen + 1) % num_ports
-        kind, obj = ports[chosen]
-        self._req_dec(state, link)
-        if kind == "nic":
-            queue = state.injection[obj]
-            flit = queue.flits.popleft()
-            if queue.flits:
-                self._req_inc(state, queue.flits[0].next_link)
-            port_label = "nic"
+        if len(requesting) == 1:
+            (chosen,) = requesting
         else:
-            flit = obj.buffer.popleft()
-            obj.return_credit()
-            if obj.buffer:
-                head = obj.buffer[0]
-                if not head.at_destination:
-                    self._req_inc(state, head.next_link)
-            else:
-                state.buffered.discard(obj)
-            port_label = obj.name
+            stats.arbitration_conflicts += 1
+            pointer = state.rr[link]
+            chosen = min(requesting, key=lambda i: (i - pointer) % num_ports)
+        requesting.discard(chosen)
+        state.rr[link] = (chosen + 1) % num_ports
+        source = ports[chosen]
+        from_nic = type(source) is deque
+        flit = source.popleft() if from_nic else source.buffer.popleft()
         flit.hop_index += 1
         flit.arrival_link = None
         arrival = link.start_traversal(flit, now)
+        state.armed.discard(link)
+        if requesting:
+            self._park(state, link)
+        if from_nic:
+            port_label = "nic"
+            if source:
+                self._req_add(state, source[0].next_link, chosen, now)
+        else:
+            port_label = source.name
+            self._credit_back(state, source, now)
+            if source.buffer:
+                self._new_head(state, source, now)
         stats.total_flit_hops += 1
         stats.link_busy_cycles[link.name] = (
             stats.link_busy_cycles.get(link.name, 0) + link.cycles_per_flit
@@ -484,6 +513,9 @@ class NocSimulator:
         heapq.heapify(events)
         state.ready_heap = sorted(events)
         arrivals: list[tuple[int, int, Link]] = []
+        armed = state.armed
+        parked = state.parked
+        ejectable = state.ejectable
         now = -1
 
         while state.remaining > 0:
@@ -527,24 +559,22 @@ class NocSimulator:
                 if self._deliver(link, state, now):
                     activity = True
 
-            # 3. eject flits that reached their destination (head of FIFO)
-            if state.buffered:
-                for link in sorted(
-                    state.buffered, key=state.pos.__getitem__
-                ):
-                    buf = link.buffer
-                    if buf and buf[0].at_destination:
-                        self._eject(link, state, now)
-                        activity = True
+            # 3. eject the head flit of every buffer whose head reached
+            # its stop, in link order
+            if ejectable:
+                for link in sorted(ejectable, key=state.pos.__getitem__):
+                    self._eject(link, state, now)
+                activity = True
 
-            # 4. switch allocation over requested output links only,
-            # visited in the global arbitration order (`_arb_sort_key`);
-            # requests revealed mid-step join the worklist when their
-            # position has not been passed yet.
-            if state.requested:
+            # 4. switch allocation over armed output links only, visited
+            # in the global arbitration order (`_arb_sort_key`), after
+            # waking the parked links whose wire and medium are free.
+            while parked and parked[0][0] <= now:
+                self._arm(state, heapq.heappop(parked)[2], now)
+            if armed:
                 worklist: list[tuple[tuple[int, int], int, Link]] = [
                     (self._arb_sort_key(link, state), state.pos[link], link)
-                    for link in state.requested
+                    for link in armed
                 ]
                 heapq.heapify(worklist)
                 state.arb_heap = worklist
@@ -556,10 +586,11 @@ class NocSimulator:
                     visited.add(link)
                     state.arb_cursor = key
                     if not link.can_accept(now):
+                        # another member of its medium took the medium
+                        armed.discard(link)
+                        self._park(state, link)
                         continue
                     arrival = self._try_grant(link, state, now)
-                    if arrival is None:
-                        continue
                     activity = True
                     heapq.heappush(events, link.next_free_cycle)
                     heapq.heappush(events, arrival)

@@ -128,6 +128,85 @@ class TestEquivalenceDirected:
         assert_equivalent(net, messages)
 
 
+class TestWakePaths:
+    """Directed cases for the three ways a link that waits becomes
+    able to move. Plain random workloads rarely take these paths at a
+    moment where the timing shows, so each case is built to."""
+
+    def test_credit_returned_mid_step_past_the_cursor(self):
+        """Chip 1 of rank 0 and chip 0 of rank 1 both stream into chip 0
+        of rank 0, so the crossbar output ``dq:0:0:down`` alternates
+        between them and the crossbar FIFO behind ``dq:0:1:up`` fills:
+        ``dq:0:1:up`` runs out of credits while chip 1 still holds flits
+        for rank 1 (an uncontended route) and one late flit. When
+        ``dq:0:0:down``, earlier in the arbitration order, takes a flit
+        from that FIFO, the credit it returns lets ``dq:0:1:up`` send in
+        the same cycle."""
+        shape = Shape(1, 2, 2)
+        net = NocNetwork(shape)
+        chip1, rank1 = shape.dpu(0, 1, 0), shape.dpu(1, 0, 0)
+        hot, far = shape.dpu(0, 0, 0), shape.dpu(1, 1, 0)
+        messages = [
+            Message(msg_id=0, src=chip1, dst=hot, num_flits=4),
+            Message(msg_id=1, src=rank1, dst=hot, num_flits=3),
+            Message(msg_id=2, src=chip1, dst=far, num_flits=3),
+            Message(msg_id=3, src=chip1, dst=hot, num_flits=1,
+                    ready_cycle=8),
+        ]
+        assert_equivalent(net, messages)
+
+    def test_woken_bus_member_parks_again(self):
+        """Each of three ranks sends to the next one over the shared
+        bus, and their flits reach the three crossbars in the same
+        cycle. One member takes the bus and the other two park until it
+        frees; when they wake together, the member first in the bus
+        rotation takes it again and the other must park once more."""
+        shape = Shape(1, 1, 3)
+        net = NocNetwork(shape)
+        messages = [
+            Message(msg_id=r, src=shape.dpu(r, 0, 0),
+                    dst=shape.dpu((r + 1) % 3, 0, 0), num_flits=3)
+            for r in range(3)
+        ]
+        assert_equivalent(net, messages)
+
+    def test_grant_reveals_a_head_at_its_stop(self):
+        """Stop 1's FIFO from bank 0 queues two-hop flits for bank 2
+        ahead of a flit for bank 1 itself, and stop 1's own flits for
+        bank 2 contend for the same output. When the last transit flit
+        is granted, the flit behind it has reached its stop and must be
+        ejected."""
+        shape = Shape(4, 1, 1)
+        net = NocNetwork(shape)
+        messages = [
+            Message(msg_id=0, src=0, dst=2, num_flits=3),
+            Message(msg_id=1, src=0, dst=1, num_flits=1),
+            Message(msg_id=2, src=1, dst=2, num_flits=4),
+        ]
+        assert_equivalent(net, messages)
+
+
+class TestPerRunFifos:
+    def test_run_drops_link_fifos_on_return(self):
+        net = NocNetwork(Shape(2, 2, 1))
+        messages = [Message(msg_id=0, src=0, dst=3, num_flits=4)]
+        NocSimulator(net, messages).run()
+        assert all(
+            link.buffer is None and link.in_flight is None
+            for link in net.links.values()
+        )
+
+    def test_run_drops_link_fifos_on_error(self):
+        net = NocNetwork(Shape(2, 2, 1))
+        messages = [Message(msg_id=0, src=0, dst=3, num_flits=8)]
+        with pytest.raises(SimulationError, match="exceeded"):
+            NocSimulator(net, messages).run(max_cycles=20)
+        assert all(
+            link.buffer is None and link.in_flight is None
+            for link in net.links.values()
+        )
+
+
 @st.composite
 def random_workload(
     draw,

@@ -8,12 +8,15 @@ from repro.noc.flit import Flit, Message
 
 
 def make_link(**kwargs):
+    """A link with its run started, so its FIFOs exist."""
     defaults = dict(
         name="l", src_router="a", dst_router="b",
         cycles_per_flit=2, latency_cycles=1, buffer_depth=2,
     )
     defaults.update(kwargs)
-    return Link(**defaults)
+    link = Link(**defaults)
+    link.reset()
+    return link
 
 
 def make_flit():
@@ -91,6 +94,24 @@ class TestSharedMedium:
         assert link.credits == 2
         assert link.next_free_cycle == 0
         assert not link.in_flight
+
+
+class TestRunFifos:
+    def test_fifos_exist_only_while_a_run_is_live(self):
+        link = Link(name="l", src_router="a", dst_router="b",
+                    cycles_per_flit=1, latency_cycles=0)
+        assert link.buffer is None and link.in_flight is None
+        link.reset()
+        link.start_traversal(make_flit(), now=0)
+        link.deliver_arrivals(1)
+        assert len(link.buffer) == 1
+        link.release()
+        assert link.buffer is None and link.in_flight is None
+        link.reset()
+        assert not link.buffer and not link.in_flight
+
+    def test_links_have_no_instance_dict(self):
+        assert not hasattr(make_link(), "__dict__")
 
 
 class TestValidation:

@@ -101,7 +101,17 @@ class TestReset:
             seq=0,
             path=(),
         )
+        net.reset()
         link.start_traversal(flit, now=0)
         net.reset()
         assert link.credits == link.buffer_depth
         assert net.bus_medium.next_free_cycle == 0
+        assert not link.in_flight
+
+    def test_release_drops_every_fifo(self, net):
+        net.reset()
+        net.release()
+        assert all(
+            link.buffer is None and link.in_flight is None
+            for link in net.links.values()
+        )
