@@ -87,7 +87,7 @@ class CollectiveRequest:
 
     @property
     def num_elements(self) -> int:
-        return self.payload_bytes // np.dtype(self.dtype).itemsize
+        return self.payload_bytes // self.dtype.itemsize
 
     def summary(self) -> str:
         """Compact one-line description, for error context and traces."""

@@ -78,25 +78,27 @@ class HealthTracker:
     def __init__(self, shards: int) -> None:
         if shards < 1:
             raise FleetError(f"health tracker needs >= 1 shard, got {shards}")
-        self._states = [ShardHealth.HEALTHY] * shards
+        #: State per shard index.  Read it freely; change it only
+        #: through :meth:`mark`, which keeps ``version`` in step.
+        self.current = [ShardHealth.HEALTHY] * shards
+        #: Bumped by every state change, so routing memos derived from
+        #: ``current`` know when to recompute.
+        self.version = 0
         self.transitions: list[HealthTransition] = []
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self.current)
 
     def _check(self, shard: int) -> None:
-        if not 0 <= shard < len(self._states):
+        if not 0 <= shard < len(self.current):
             raise FleetError(
                 f"shard {shard} out of range (fleet has "
-                f"{len(self._states)} shard(s))"
+                f"{len(self.current)} shard(s))"
             )
 
     def state(self, shard: int) -> ShardHealth:
         self._check(shard)
-        return self._states[shard]
-
-    def states(self) -> tuple[ShardHealth, ...]:
-        return tuple(self._states)
+        return self.current[shard]
 
     def mark(
         self,
@@ -107,10 +109,11 @@ class HealthTracker:
     ) -> bool:
         """Move ``shard`` to ``new``; returns whether anything changed."""
         self._check(shard)
-        old = self._states[shard]
+        old = self.current[shard]
         if old is new:
             return False
-        self._states[shard] = new
+        self.current[shard] = new
+        self.version += 1
         self.transitions.append(
             HealthTransition(
                 at_submission=at_submission,
@@ -140,6 +143,6 @@ class HealthTracker:
 
     def counts(self) -> dict[str, int]:
         return {
-            state.value: sum(1 for s in self._states if s is state)
+            state.value: sum(1 for s in self.current if s is state)
             for state in ShardHealth
         }

@@ -29,6 +29,7 @@ router reroutes them, which is the graceful-degradation path the
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
@@ -39,7 +40,7 @@ from ..config.presets import MachineConfig
 from ..config.service import ServiceConfig
 from ..errors import CollectiveError, FleetError, ServiceError
 from ..faults.model import FaultSet, sample_fault_set
-from ..observability import MetricsRegistry
+from ..observability import Counter, Histogram, MetricsRegistry
 from ..service import CLOSED_REASON, CollectiveService, ServiceResponse
 from ..service.slots import SlotCycle
 from .health import HealthTracker, ShardHealth
@@ -66,20 +67,35 @@ def _score(tenant: str, key: str, shard: int) -> int:
     return int.from_bytes(hashlib.sha256(token).digest()[:8], "big")
 
 
+#: Memoized rankings, (tenant, shards, key) -> ranking.  Bounded: when
+#: full, the oldest entry is evicted.
+_RANKINGS: dict[tuple[str, int, str], tuple[int, ...]] = {}
+_RANKINGS_MAX = 4096
+
+
 def shard_ranking(tenant: str, shards: int, key: str = "") -> tuple[int, ...]:
     """All shards ranked by descending rendezvous score.
 
     Removing a shard never reorders the survivors — the defining HRW
     property — so failover lands each tenant on the same backup shard
-    on every run and in every process.
+    on every run and in every process.  A ranking is a pure function of
+    its arguments, so it is computed once and then served from a
+    bounded memo (after validation, so bad input always raises).
     """
     if not isinstance(shards, int) or shards < 1:
         raise FleetError(f"shard count must be an int >= 1, got {shards!r}")
     if not tenant or not isinstance(tenant, str):
         raise FleetError("tenant name must be a non-empty string")
-    return tuple(
-        sorted(range(shards), key=lambda s: (-_score(tenant, key, s), s))
-    )
+    memo_key = (tenant, shards, key)
+    ranking = _RANKINGS.get(memo_key)
+    if ranking is None:
+        ranking = tuple(
+            sorted(range(shards), key=lambda s: (-_score(tenant, key, s), s))
+        )
+        if len(_RANKINGS) >= _RANKINGS_MAX:
+            del _RANKINGS[next(iter(_RANKINGS))]
+        _RANKINGS[memo_key] = ranking
+    return ranking
 
 
 def home_shard(tenant: str, shards: int, key: str = "") -> int:
@@ -114,7 +130,7 @@ class FleetOutcome(Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FleetResponse:
     """One submission's fate: which shards were tried, and the verdict."""
 
@@ -166,7 +182,10 @@ class ShardHandle:
     """One shard: its service, its private registry, its fault state.
 
     The registry outlives service restarts, so per-shard counters and
-    latency sketches are cumulative across a kill/revive cycle.
+    latency sketches are cumulative across a kill/revive cycle.  Each
+    instrument is looked up in the registry on its first use and the
+    handle kept, so later requests skip the label normalization; the
+    registry still gains its instruments in first-use order.
     """
 
     def __init__(
@@ -181,6 +200,10 @@ class ShardHandle:
         self.fault_set: FaultSet | None = None
         #: Bumped on every revive; generation 0 is the original service.
         self.generation = 0
+        #: ``fleet.shard.*`` counter name -> bound counter.
+        self._counters: dict[str, Counter] = {}
+        #: tenant -> bound ``fleet.request_latency_s`` histogram.
+        self._latency: dict[str, Histogram] = {}
 
     def start(self) -> None:
         self.service.start()
@@ -197,23 +220,28 @@ class ShardHandle:
 
     # -- shard-local accounting (attempt-level, not submission-level) --
 
+    def _count(self, name: str) -> None:
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(
+                name, {"shard": self.name}
+            )
+        counter.inc()
+
     def note_submitted(self) -> None:
-        self.registry.counter(
-            "fleet.shard.submitted", {"shard": self.name}
-        ).inc()
+        self._count("fleet.shard.submitted")
 
     def note_admitted(self, tenant: str, latency_s: float) -> None:
-        self.registry.counter(
-            "fleet.shard.admitted", {"shard": self.name}
-        ).inc()
-        self.registry.histogram(
-            LATENCY_METRIC, {"tenant": tenant, "shard": self.name}
-        ).observe(latency_s)
+        self._count("fleet.shard.admitted")
+        histogram = self._latency.get(tenant)
+        if histogram is None:
+            histogram = self._latency[tenant] = self.registry.histogram(
+                LATENCY_METRIC, {"tenant": tenant, "shard": self.name}
+            )
+        histogram.observe(latency_s)
 
     def note_rejected(self) -> None:
-        self.registry.counter(
-            "fleet.shard.rejected", {"shard": self.name}
-        ).inc()
+        self._count("fleet.shard.rejected")
 
     def stats(self) -> dict[str, Any]:
         def _value(name: str) -> int:
@@ -268,8 +296,17 @@ class FleetRouter:
         self._running = False
         self._sequence = 0
         self._counts = {outcome.value: 0 for outcome in FleetOutcome}
+        #: Fleet counter name -> bound counter, filled by :meth:`start`.
+        self._counters: dict[str, Counter] = {}
         #: Outage plan progress: shard -> "pending" | "active" | "done".
         self._outage_phase = {o.shard: "pending" for o in self.config.outages}
+        #: Lowest submission count at which an outage plan can change
+        #: phase; below it ``_apply_outages`` has nothing to do.
+        self._next_outage_at = self._outage_due()
+        #: ranking -> serving shards in try order, valid while
+        #: ``self.health.version`` equals ``_orders_version``.
+        self._orders: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._orders_version = self.health.version
 
     # -- lifecycle ----------------------------------------------------
 
@@ -283,10 +320,11 @@ class FleetRouter:
     def start(self) -> None:
         if self._running:
             raise FleetError("fleet already started")
-        for name in FLEET_COUNTERS:
-            # Materialize at zero so a clean run reads rate 0, not a
-            # missing metric (mirrors the service counters).
-            self.registry.counter(name)
+        # Materialize at zero so a clean run reads rate 0, not a missing
+        # metric (mirrors the service counters), and keep the handles.
+        self._counters = {
+            name: self.registry.counter(name) for name in FLEET_COUNTERS
+        }
         for shard in self.shards:
             shard.start()
         self._running = True
@@ -304,6 +342,17 @@ class FleetRouter:
 
     # -- outage plans and manual fault injection ----------------------
 
+    def _outage_due(self) -> float:
+        """The lowest submission count at which a plan changes phase."""
+        due = math.inf
+        for outage in self.config.outages:
+            phase = self._outage_phase[outage.shard]
+            if phase == "pending":
+                due = min(due, outage.after_submissions)
+            elif phase == "active" and outage.revive_at is not None:
+                due = min(due, outage.revive_at)
+        return due
+
     async def _apply_outages(self) -> None:
         for outage in self.config.outages:
             phase = self._outage_phase[outage.shard]
@@ -320,6 +369,7 @@ class FleetRouter:
             ):
                 await self.revive_shard(outage.shard)
                 self._outage_phase[outage.shard] = "done"
+        self._next_outage_at = self._outage_due()
 
     async def inject_outage(self, outage: ShardOutageConfig) -> ShardHealth:
         """Sample the outage's fault set against the shard and apply it.
@@ -355,17 +405,33 @@ class FleetRouter:
 
     # -- routing ------------------------------------------------------
 
+    def _serving_order(self, ranking: tuple[int, ...]) -> tuple[int, ...]:
+        """The serving shards of ``ranking`` in try order.
+
+        Memoized per ranking; any health change bumps
+        ``self.health.version`` and so empties the memo.
+        """
+        if self._orders_version != self.health.version:
+            self._orders.clear()
+            self._orders_version = self.health.version
+        order = self._orders.get(ranking)
+        if order is None:
+            states = self.health.current
+            serving = [i for i in ranking if states[i].serving]
+            # Stable sort: healthy shards keep ranking order ahead of
+            # degraded ones, which keep ranking order among themselves.
+            order = self._orders[ranking] = tuple(
+                sorted(
+                    serving,
+                    key=lambda i: states[i] is ShardHealth.DEGRADED,
+                )
+            )
+        return order
+
     def route_order(self, tenant: str, key: str = "") -> tuple[int, ...]:
         """Serving shards in try order: healthy first, ranking within."""
-        ranking = shard_ranking(tenant, len(self.shards), key)
-        serving = [i for i in ranking if self.health.state(i).serving]
-        # Stable sort: healthy shards keep ranking order ahead of
-        # degraded ones, which keep ranking order among themselves.
-        return tuple(
-            sorted(
-                serving,
-                key=lambda i: self.health.state(i) is ShardHealth.DEGRADED,
-            )
+        return self._serving_order(
+            shard_ranking(tenant, len(self.shards), key)
         )
 
     async def submit(
@@ -380,8 +446,9 @@ class FleetRouter:
             raise FleetError("tenant name must be a non-empty string")
         sequence = self._sequence
         self._sequence += 1
-        self.registry.counter("fleet.submitted").inc()
-        await self._apply_outages()
+        self._counters["fleet.submitted"].inc()
+        if self._sequence >= self._next_outage_at:
+            await self._apply_outages()
         ranking = shard_ranking(tenant, len(self.shards), key)
         home = ranking[0]
 
@@ -401,20 +468,17 @@ class FleetRouter:
                 f"{request.pattern.value!r}",
             )
 
-        serving = [i for i in ranking if self.health.state(i).serving]
-        candidates = tuple(
-            sorted(
-                serving,
-                key=lambda i: self.health.state(i) is ShardHealth.DEGRADED,
-            )
-        )[: 1 + self.config.max_reroutes]
+        candidates = self._serving_order(ranking)[
+            : 1 + self.config.max_reroutes
+        ]
+        states = self.health.current
         attempts: list[int] = []
         last: ServiceResponse | None = None
         last_shard: int | None = None
         for index in candidates:
             # Re-check: the shard may have gone down while an earlier
             # attempt of this very request was waiting in its queue.
-            if not self.health.state(index).serving:
+            if not states[index].serving:
                 continue
             shard = self.shards[index]
             attempts.append(index)
@@ -476,10 +540,10 @@ class FleetRouter:
         generation: int | None = None,
     ) -> FleetResponse:
         self._counts[outcome.value] += 1
-        self.registry.counter(f"fleet.{outcome.value}").inc()
+        self._counters[f"fleet.{outcome.value}"].inc()
         extra = max(0, len(attempts) - 1)
         if extra:
-            self.registry.counter("fleet.reroutes").inc(extra)
+            self._counters["fleet.reroutes"].inc(extra)
         return FleetResponse(
             tenant=tenant,
             sequence=sequence,

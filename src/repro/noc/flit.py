@@ -45,16 +45,13 @@ class Flit:
     """One flow-control unit traversing a precomputed path.
 
     ``path`` is the sequence of links from source NIC to destination;
-    ``hop_index`` points at the next link to take.  ``arrival_link`` is
-    the link whose downstream buffer currently holds the flit, so its
-    credit can be returned when the flit moves on.
+    ``hop_index`` points at the next link to take.
     """
 
     message: Message
     seq: int
     path: tuple["object", ...]
     hop_index: int = 0
-    arrival_link: "object | None" = None
 
     @property
     def at_destination(self) -> bool:

@@ -128,9 +128,7 @@ class Link:
         moved = 0
         in_flight = self.in_flight
         while in_flight and in_flight[0][0] <= now:
-            _, flit = in_flight.popleft()
-            flit.arrival_link = self
-            self.buffer.append(flit)
+            self.buffer.append(in_flight.popleft()[1])
             moved += 1
         return moved
 

@@ -464,7 +464,6 @@ class NocSimulator:
         from_nic = type(source) is deque
         flit = source.popleft() if from_nic else source.buffer.popleft()
         flit.hop_index += 1
-        flit.arrival_link = None
         arrival = link.start_traversal(flit, now)
         state.armed.discard(link)
         if requesting:

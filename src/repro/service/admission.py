@@ -53,7 +53,7 @@ class Outcome(enum.Enum):
     ADMITTED = "admitted"
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueEntry:
     """One queued request, in arrival order."""
 
@@ -73,6 +73,10 @@ class Selection:
     entries: tuple[QueueEntry, ...]
     consumed_s: float
     structures: tuple[Hashable, ...]
+    #: Each admitted entry's structure key and service time, in
+    #: ``entries`` order, so the caller need not price them again.
+    keys: tuple[Hashable, ...]
+    costs: tuple[float, ...]
 
     @property
     def count(self) -> int:
@@ -127,44 +131,62 @@ class AdmissionQueue:
         structure_key: Callable[[CollectiveRequest], Hashable],
         service_time_s: Callable[[CollectiveRequest], float],
     ) -> Selection:
-        """Admit entries for one occurrence of ``slot`` (see module doc)."""
+        """Admit entries for one occurrence of ``slot`` (see module doc).
+
+        One scan both admits and builds the queue that remains: an
+        entry the checks skip is kept in order, and so is everything
+        after the entry that closes the window.
+        """
         admitted: list[QueueEntry] = []
+        keys: list[Hashable] = []
+        costs: list[float] = []
+        kept: list[QueueEntry] = []
         structures: list[Hashable] = []
-        seen: set[Hashable] = set()
         per_tenant: dict[str, int] = {}
         consumed = 0.0
         budget = slot.time_window_s * (1.0 + _BUDGET_SLACK)
-        for entry in self._entries:
-            if not slot.accepts(entry.request.pattern):
+        patterns = slot.patterns
+        cap = slot.max_multiplexing
+        accounts = self._accounts
+        entries = self._entries
+        for position, entry in enumerate(entries):
+            request = entry.request
+            if patterns and request.pattern not in patterns:
+                kept.append(entry)
                 continue
-            quota = self._account(entry.tenant).quota
-            if per_tenant.get(entry.tenant, 0) >= quota.max_per_slot:
+            tenant = entry.tenant
+            taken = per_tenant.get(tenant, 0)
+            if taken >= accounts[tenant].quota.max_per_slot:
+                kept.append(entry)
                 continue
-            key = structure_key(entry.request)
-            if key not in seen and len(seen) >= slot.max_multiplexing:
+            key = structure_key(request)
+            fresh = key not in structures
+            if fresh and len(structures) >= cap:
+                kept.append(entry)
                 continue
-            cost = service_time_s(entry.request)
+            cost = service_time_s(request)
             if admitted and consumed + cost > budget:
                 # Strict FIFO fill: once the window cannot take the next
                 # eligible entry, the occurrence is closed.
+                kept.extend(entries[position:])
                 break
             admitted.append(entry)
-            if key not in seen:
-                seen.add(key)
+            keys.append(key)
+            costs.append(cost)
+            if fresh:
                 structures.append(key)
-            per_tenant[entry.tenant] = per_tenant.get(entry.tenant, 0) + 1
+            per_tenant[tenant] = taken + 1
             consumed += cost
         if admitted:
-            chosen = set(id(entry) for entry in admitted)
-            self._entries = [
-                entry for entry in self._entries if id(entry) not in chosen
-            ]
+            self._entries = kept
             for entry in admitted:
-                self._accounts[entry.tenant].queued -= 1
+                accounts[entry.tenant].queued -= 1
         return Selection(
             entries=tuple(admitted),
             consumed_s=consumed,
             structures=tuple(structures),
+            keys=tuple(keys),
+            costs=tuple(costs),
         )
 
     def drain_all(self) -> tuple[QueueEntry, ...]:

@@ -61,7 +61,7 @@ SERVICE_SUBSTRATE = "Service"
 CLOSED_REASON = "service closed before the request was admitted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceResponse:
     """The explicit outcome of one submission (never a silent drop)."""
 
@@ -110,7 +110,7 @@ class ServiceResponse:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccurrenceRecord:
     """One slot occurrence, for invariant checks and the occurrence log."""
 
@@ -122,10 +122,6 @@ class OccurrenceRecord:
     consumed_s: float
     entries: tuple[tuple[str, int, Hashable], ...]
     structures: tuple[Hashable, ...]
-
-    @property
-    def overrun(self) -> bool:
-        return self.consumed_s > self.window_s
 
 
 @dataclass
@@ -301,10 +297,11 @@ class CollectiveService:
         cycle_index = self.cycle.cycle_of(self._position)
         entries_log = []
         elapsed = 0.0
-        for entry in selection.entries:
-            structure = self.structure_key(entry.request)
+        for entry, structure, service_s in zip(
+            selection.entries, selection.keys, selection.costs
+        ):
             self._compile(structure, entry.request)
-            service_s, replayed = self._service_time(entry.request)
+            replayed = self._service_time(entry.request)[1]
             elapsed += service_s
             finish_s = start_s + elapsed
             response = ServiceResponse(

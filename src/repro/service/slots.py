@@ -51,6 +51,8 @@ class SlotCycle:
         )
         self.switch_time_s = config.switch_time_s
         self.cycle_time_s = config.cycle_time_s
+        #: pattern -> whether any slot accepts it.
+        self._accepts: dict[Collective, bool] = {}
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -64,5 +66,10 @@ class SlotCycle:
         return position // len(self.slots)
 
     def accepts(self, pattern: Collective) -> bool:
-        return any(slot.accepts(pattern) for slot in self.slots)
+        accepted = self._accepts.get(pattern)
+        if accepted is None:
+            accepted = self._accepts[pattern] = any(
+                slot.accepts(pattern) for slot in self.slots
+            )
+        return accepted
 

@@ -43,6 +43,13 @@ class TestRequestValidation:
         )
         assert req.num_elements == 16
 
+    @pytest.mark.parametrize("dtype", ["int32", np.int32, np.dtype(np.int32)])
+    def test_num_elements_for_every_dtype_spelling(self, dtype):
+        # __post_init__ normalizes dtype once; num_elements reads it.
+        req = CollectiveRequest(Collective.ALL_REDUCE, 64, dtype=dtype)
+        assert req.dtype == np.dtype(np.int32)
+        assert req.num_elements == 16
+
     def test_root_range_checked(self):
         req = CollectiveRequest(Collective.BROADCAST, 64, root=8)
         with pytest.raises(CollectiveError):

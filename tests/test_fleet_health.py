@@ -19,7 +19,7 @@ SYSTEM = small_test_system().system
 
 def serving_shards(tracker: HealthTracker) -> tuple[int, ...]:
     """Indices of shards the router may route to (not down)."""
-    return tuple(i for i, s in enumerate(tracker.states()) if s.serving)
+    return tuple(i for i in range(len(tracker)) if tracker.state(i).serving)
 
 
 def fault_set(model: FaultModelConfig, seed: int = 0):
@@ -53,7 +53,7 @@ class TestHealthOf:
 class TestHealthTracker:
     def test_starts_all_healthy(self):
         tracker = HealthTracker(3)
-        assert tracker.states() == (ShardHealth.HEALTHY,) * 3
+        assert [tracker.state(i) for i in range(3)] == [ShardHealth.HEALTHY] * 3
         assert serving_shards(tracker) == (0, 1, 2)
         assert tracker.transitions == []
 
@@ -76,6 +76,16 @@ class TestHealthTracker:
         tracker = HealthTracker(2)
         assert not tracker.mark(0, ShardHealth.HEALTHY, "still fine")
         assert tracker.transitions == []
+        assert tracker.version == 0
+
+    def test_version_counts_state_changes(self):
+        tracker = HealthTracker(2)
+        tracker.mark(0, ShardHealth.DEGRADED, "straggler")
+        tracker.mark(0, ShardHealth.DEGRADED, "still slow")
+        assert tracker.version == 1
+        tracker.revive(0)
+        assert tracker.version == 2
+        assert tracker.current == [ShardHealth.HEALTHY] * 2
 
     def test_apply_fault_set_then_revive(self):
         tracker = HealthTracker(2)

@@ -8,8 +8,10 @@ stable as the primary assignment.
 """
 
 import asyncio
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.collectives.patterns import Collective, CollectiveRequest
 from repro.config import small_test_system
+from repro.config.faults import FaultModelConfig
 from repro.config.fleet import (
     FleetConfig,
     ShardOutageConfig,
@@ -38,6 +41,7 @@ from repro.fleet import (
     home_shard,
     shard_ranking,
 )
+from repro.fleet.router import _score
 
 pytestmark = pytest.mark.fleet
 
@@ -401,6 +405,130 @@ class TestTenantFifo:
             )
         for group, starts in per_shard.items():
             assert starts == sorted(starts), f"shard {group} reordered"
+
+
+# --------------------------------------------------------------------------
+# The per-request fast paths: memoized ranking and route order, lazily
+# bound metric children.
+# --------------------------------------------------------------------------
+
+#: The instruments of ``one_outage_run``, per registry (fleet first,
+#: then shard 0..2) in creation order.  Metric handles must be bound on
+#: first use: binding them up front adds or reorders entries here.
+SNAPSHOT_ORDER = [
+    ["fleet.submitted", "fleet.admitted", "fleet.rerouted",
+     "fleet.rejected", "fleet.failed", "fleet.reroutes"],
+    ["fleet.shard.submitted{shard=shard-0}",
+     "fleet.shard.rejected{shard=shard-0}",
+     "fleet.shard.admitted{shard=shard-0}",
+     "fleet.request_latency_s{shard=shard-0,tenant=a}"],
+    ["fleet.shard.submitted{shard=shard-1}",
+     "fleet.shard.admitted{shard=shard-1}",
+     "fleet.request_latency_s{shard=shard-1,tenant=a}"],
+    ["fleet.shard.submitted{shard=shard-2}",
+     "fleet.shard.admitted{shard=shard-2}",
+     "fleet.request_latency_s{shard=shard-2,tenant=b}",
+     "fleet.request_latency_s{shard=shard-2,tenant=c}"],
+]
+#: SHA-256 of ``json.dumps(merged_metrics().to_dict())`` for the same run.
+SNAPSHOT_SHA256 = (
+    "c8a52d6356e74e43b9190ba1bc69d5798aa17eb1de0d022aa453735c02894cbd"
+)
+
+
+def one_outage_run():
+    """Four clients of three tenants; tenant a's home dies at 4, back at 8."""
+    config = FleetConfig(
+        shards=3,
+        service=service_config(),
+        outages=(kill_shard_outage(home_shard("a", 3), 4, 4),),
+    )
+
+    async def go():
+        async with FleetRouter(config, TINY) as fleet:
+            async def client(tenant):
+                for i in range(6):
+                    await fleet.submit(tenant, ar(1 + i % 3))
+
+            await asyncio.gather(*(client(t) for t in ("a", "b", "a", "c")))
+            await fleet.drain()
+            registries = [fleet.registry] + [s.registry for s in fleet.shards]
+            order = [
+                list(r.counters) + list(r.histograms) for r in registries
+            ]
+            return fleet.merged_metrics().to_dict(), order
+
+    return run(go())
+
+
+class TestFastPaths:
+    def test_memoized_ranking_equals_a_direct_score_sort(self):
+        rng = random.Random(7)
+        triples = [
+            (f"t{rng.randrange(40)}", rng.randint(1, 8),
+             rng.choice(["", "k0", "k1", "key"]))
+            for _ in range(400)
+        ]
+        assert len(set(triples)) >= 200
+        for tenant, shards, key in triples:
+            direct = tuple(
+                sorted(
+                    range(shards),
+                    key=lambda s: (-_score(tenant, key, s), s),
+                )
+            )
+            # Twice: the first call may fill the memo, the second reads it.
+            assert shard_ranking(tenant, shards, key) == direct
+            assert shard_ranking(tenant, shards, key) == direct
+
+    def test_bad_input_raises_after_a_cache_hit(self):
+        assert shard_ranking("a", 3) == shard_ranking("a", 3)
+        # 3.0 == 3 and hashes alike, so only validation ahead of the
+        # memo lookup keeps a float shard count from hitting the cache.
+        with pytest.raises(FleetError):
+            shard_ranking("a", 3.0)
+        with pytest.raises(FleetError):
+            shard_ranking("a", 0)
+        with pytest.raises(FleetError):
+            shard_ranking("", 3)
+
+    def test_health_changes_reach_the_very_next_submit(self):
+        tenant = "a"
+        ranking = shard_ranking(tenant, 3)
+        home, backup = ranking[0], ranking[1]
+        degrade = ShardOutageConfig(
+            shard=home,
+            after_submissions=0,
+            model=FaultModelConfig(
+                bank_straggler_rate=1.0, straggler_severity=2.0
+            ),
+        )
+
+        async def go():
+            async with FleetRouter(fleet_config(), TINY) as fleet:
+                before = await fleet.submit(tenant, ar())
+                state = await fleet.inject_outage(degrade)
+                degraded = await fleet.submit(tenant, ar())
+                order = fleet.route_order(tenant)
+                await fleet.revive_shard(home)
+                revived = await fleet.submit(tenant, ar())
+                await fleet.drain()
+                return before, state, degraded, order, revived
+
+        before, state, degraded, order, revived = run(go())
+        assert state is ShardHealth.DEGRADED
+        assert before.attempts == (home,)
+        assert degraded.attempts == (backup,)
+        assert degraded.outcome is FleetOutcome.REROUTED
+        assert order == ranking[1:] + (home,)
+        assert revived.attempts == (home,)
+        assert revived.outcome is FleetOutcome.ADMITTED
+
+    def test_metric_children_are_bound_lazily(self):
+        merged, order = one_outage_run()
+        assert order == SNAPSHOT_ORDER
+        digest = hashlib.sha256(json.dumps(merged).encode()).hexdigest()
+        assert digest == SNAPSHOT_SHA256
 
 
 class TestDefaults:
