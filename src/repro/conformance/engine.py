@@ -24,7 +24,6 @@ that distinction to skip invalid candidates.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,7 +288,6 @@ class MatrixReport:
     reports: tuple[dict, ...]
     cache_hits: int = 0
     cache_misses: int = 0
-    elapsed_s: float = 0.0
     config: dict = field(default_factory=dict)
 
     @property
@@ -350,7 +348,6 @@ def run_matrix(
 
     config = config or ConformanceConfig()
     network = network or PimnetNetworkConfig()
-    start = time.perf_counter()
     cache = prefix = None
     if cache_enabled and mutation is None:
         cache = ResultCache(cache_dir)
@@ -389,6 +386,5 @@ def run_matrix(
         reports=tuple(reports),
         cache_hits=hits,
         cache_misses=misses,
-        elapsed_s=time.perf_counter() - start,
         config=config.as_dict(),
     )

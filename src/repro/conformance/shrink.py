@@ -43,10 +43,6 @@ class ShrinkResult:
     report: dict
     attempts: int
 
-    @property
-    def shrunk(self) -> bool:
-        return self.point != self.original
-
 
 def _candidates(point: ConformancePoint) -> list[ConformancePoint]:
     """The halved neighbors of ``point``, smallest-axis-impact first."""

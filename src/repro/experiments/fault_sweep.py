@@ -5,9 +5,8 @@ runs a full campaign (:mod:`repro.faults.campaign`) at each point:
 AllReduce bandwidth, completion rate, and tail latencies versus fault
 rate.  Because fault sets are sampled with common random numbers
 (:mod:`repro.faults.model`), the bandwidth curve is monotone
-non-increasing in the rate factor *by construction* — asserted by
-``monotone_bandwidth`` and the test suite, and rendered into the CI step
-summary.
+non-increasing in the rate factor *by construction* — asserted by the
+test suite, and rendered into the CI step summary.
 """
 
 from __future__ import annotations
@@ -49,13 +48,6 @@ class FaultSweepResult:
     p99s: tuple[float, ...]
     p999s: tuple[float, ...]
     mean_retries: tuple[float, ...]
-
-    def monotone_bandwidth(self) -> bool:
-        """Mean bandwidth never rises as the fault rate grows."""
-        return all(
-            later <= earlier + 1e-12
-            for earlier, later in zip(self.bandwidths, self.bandwidths[1:])
-        )
 
 
 def _point(

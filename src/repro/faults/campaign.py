@@ -119,7 +119,6 @@ class TrialOutcome:
     retries: int
     fault_time_s: float
     critical_node: str
-    num_faults: int
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,6 @@ def run_campaign(
                 retries=result.retries,
                 fault_time_s=result.fault_time_s,
                 critical_node=result.critical_node,
-                num_faults=len(fault_set.events),
             )
         )
     result = CampaignResult(

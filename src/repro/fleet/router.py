@@ -354,21 +354,23 @@ class FleetRouter:
         return due
 
     async def _apply_outages(self) -> None:
+        # Each phase moves before its await, so a submit that enters
+        # while an injection or revival is in flight does not repeat it.
         for outage in self.config.outages:
             phase = self._outage_phase[outage.shard]
             if (
                 phase == "pending"
                 and self._sequence >= outage.after_submissions
             ):
-                await self.inject_outage(outage)
                 self._outage_phase[outage.shard] = "active"
+                await self.inject_outage(outage)
             elif (
                 phase == "active"
                 and outage.revive_at is not None
                 and self._sequence >= outage.revive_at
             ):
-                await self.revive_shard(outage.shard)
                 self._outage_phase[outage.shard] = "done"
+                await self.revive_shard(outage.shard)
         self._next_outage_at = self._outage_due()
 
     async def inject_outage(self, outage: ShardOutageConfig) -> ShardHealth:

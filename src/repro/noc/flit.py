@@ -24,10 +24,8 @@ class Message:
     ready_cycle: int = 0
     deps: tuple[int, ...] = ()
     # -- simulation state --
-    injected_flits: int = 0
     delivered_flits: int = 0
     inject_start_cycle: int | None = None
-    complete_cycle: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_flits < 1:
@@ -49,7 +47,6 @@ class Flit:
     """
 
     message: Message
-    seq: int
     path: tuple["object", ...]
     hop_index: int = 0
 

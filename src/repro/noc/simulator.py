@@ -147,18 +147,14 @@ class NocSimulator:
                     )
         self.use_barriers = False
         self.record_grants = record_grants
-        self.barriers: dict[int, int] = {}
         self._message_barrier: dict[int, int] = {}
 
     def set_barriers(self, barriers: dict[int, int]) -> None:
         """Assign message -> barrier index (scheduled mode)."""
-        self._message_barrier = dict(barriers)
-        counts: dict[int, int] = {}
-        for msg_id, barrier in self._message_barrier.items():
+        for msg_id in barriers:
             if msg_id not in self.messages:
                 raise SimulationError(f"barrier for unknown message {msg_id}")
-            counts[barrier] = counts.get(barrier, 0) + 1
-        self.barriers = counts
+        self._message_barrier = dict(barriers)
         self.use_barriers = True
 
     # -- injection gating ---------------------------------------------------------
@@ -246,10 +242,8 @@ class NocSimulator:
         state = _RunState()
         pending = sorted(self.messages.values(), key=lambda m: m.msg_id)
         for m in pending:
-            m.injected_flits = 0
             m.delivered_flits = 0
             m.inject_start_cycle = None
-            m.complete_cycle = None
         state.not_injected = deque(pending)
         state.remaining = sum(m.num_flits for m in pending)
 
@@ -385,9 +379,8 @@ class NocSimulator:
         path = self.network.path(message.src, message.dst)
         queue, port = state.injection[message.src]
         was_empty = not queue
-        for seq in range(message.num_flits):
-            queue.append(Flit(message=message, seq=seq, path=path))
-        message.injected_flits = message.num_flits
+        for _ in range(message.num_flits):
+            queue.append(Flit(message=message, path=path))
         if was_empty:
             self._req_add(state, queue[0].next_link, port, now)
 
@@ -635,7 +628,6 @@ class NocSimulator:
                     state.frontier += 1
                     state.inject_dirty = True
         if message.delivered:
-            message.complete_cycle = now
             start = message.inject_start_cycle or 0
             state.stats.per_message_latency[message.msg_id] = now - start
             state.inject_dirty = True

@@ -173,7 +173,9 @@ def run_flow_control_comparison(
 
     "Execution" includes the compute skew: credit mode overlaps the
     stragglers' compute with early finishers' communication; scheduled
-    mode waits for the last DPU then runs contention-free.
+    mode waits for the last DPU, then releases the schedule one step at
+    a time behind barriers. It is barrier-gated, not contention-free:
+    the routers still arbitrate between the transfers of one step.
     """
     from .simulator import NocSimulator
 

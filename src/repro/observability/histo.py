@@ -102,10 +102,6 @@ class LogBucketSketch:
 
     # -- observation -------------------------------------------------------------
     @property
-    def bucketed(self) -> bool:
-        return self._samples is None
-
-    @property
     def samples(self) -> list[float] | None:
         """The retained raw samples, or None once collapsed to buckets."""
         return None if self._samples is None else list(self._samples)

@@ -264,8 +264,7 @@ NULL_HISTOGRAM = _NullInstrument()
 class MetricsRegistry:
     """Named instruments for one instrumented run."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
@@ -276,9 +275,7 @@ class MetricsRegistry:
     # -- instrument access (memoized by name + labels) ----------------------------
     def counter(
         self, name: str, labels: Mapping[str, Any] | None = None
-    ) -> Counter | _NullInstrument:
-        if not self.enabled:
-            return NULL_COUNTER
+    ) -> Counter:
         key = instrument_key(name, labels)
         instrument = self.counters.get(key)
         if instrument is None:
@@ -288,9 +285,7 @@ class MetricsRegistry:
 
     def gauge(
         self, name: str, labels: Mapping[str, Any] | None = None
-    ) -> Gauge | _NullInstrument:
-        if not self.enabled:
-            return NULL_GAUGE
+    ) -> Gauge:
         key = instrument_key(name, labels)
         instrument = self.gauges.get(key)
         if instrument is None:
@@ -300,9 +295,7 @@ class MetricsRegistry:
 
     def histogram(
         self, name: str, labels: Mapping[str, Any] | None = None
-    ) -> Histogram | _NullInstrument:
-        if not self.enabled:
-            return NULL_HISTOGRAM
+    ) -> Histogram:
         key = instrument_key(name, labels)
         instrument = self.histograms.get(key)
         if instrument is None:
@@ -329,8 +322,6 @@ class MetricsRegistry:
         is how metrics recorded inside PR 2 worker processes reach the
         parent registry.
         """
-        if not self.enabled:
-            return  # disabled registries absorb nothing
         if not isinstance(other, MetricsRegistry):
             other = MetricsRegistry.from_dict(other)
         for instrument in other.all_instruments():
@@ -421,9 +412,8 @@ def active_metrics() -> MetricsRegistry | None:
 
 
 def metrics_active() -> bool:
-    """Whether an enabled registry is installed (see ``tracing_active``)."""
-    registry = _ACTIVE_METRICS
-    return registry is not None and registry.enabled
+    """Whether a registry is installed (see ``tracing_active``)."""
+    return _ACTIVE_METRICS is not None
 
 
 def set_active_metrics(

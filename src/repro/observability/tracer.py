@@ -174,8 +174,7 @@ NULL_SPAN = NullSpan()
 class Tracer:
     """Collects a forest of spans for one instrumented run."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
@@ -187,10 +186,8 @@ class Tracer:
         sim_start_s: float | None = None,
         sim_end_s: float | None = None,
         **attributes: Any,
-    ) -> Span | NullSpan:
+    ) -> Span:
         """A new span; enter it (``with``) to place it in the tree."""
-        if not self.enabled:
-            return NULL_SPAN
         return Span(
             name,
             category=category,
@@ -207,7 +204,7 @@ class Tracer:
         sim_end_s: float,
         category: str = "repro",
         **attributes: Any,
-    ) -> Span | NullSpan:
+    ) -> Span:
         """Add an already-closed span covering a simulated-time window."""
         with self.span(
             name,
@@ -262,13 +259,12 @@ def active_tracer() -> Tracer | None:
 
 
 def tracing_active() -> bool:
-    """Whether an enabled tracer is installed.
+    """Whether a tracer is installed.
 
     Hot paths check this before building span names/attributes, so the
     disabled default pays one global read instead of string formatting.
     """
-    tracer = _ACTIVE_TRACER
-    return tracer is not None and tracer.enabled
+    return _ACTIVE_TRACER is not None
 
 
 def set_active_tracer(tracer: Tracer | None) -> Tracer | None:
@@ -298,7 +294,7 @@ def trace_span(
 ) -> Span | NullSpan:
     """A span on the active tracer, or the no-op span when tracing is off."""
     tracer = _ACTIVE_TRACER
-    if tracer is None or not tracer.enabled:
+    if tracer is None:
         return NULL_SPAN
     return tracer.span(
         name,
@@ -312,7 +308,7 @@ def trace_span(
 def current_span() -> Span | NullSpan:
     """The innermost open span, or the no-op span when tracing is off."""
     tracer = _ACTIVE_TRACER
-    if tracer is None or not tracer.enabled or tracer.current is None:
+    if tracer is None or tracer.current is None:
         return NULL_SPAN
     return tracer.current
 
@@ -332,7 +328,7 @@ def traced(
         @functools.wraps(fn)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             tracer = _ACTIVE_TRACER
-            if tracer is None or not tracer.enabled:
+            if tracer is None:
                 return fn(*args, **kwargs)
             with tracer.span(label, category=category):
                 return fn(*args, **kwargs)

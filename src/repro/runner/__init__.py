@@ -27,7 +27,6 @@ See ``docs/RUNNER.md`` for the design and the golden-test workflow.
 from ..config.runner import RunnerConfig
 from .cache import (
     CACHE_VERSION,
-    CacheCounters,
     DEFAULT_CACHE_DIR,
     ResultCache,
     cache_key,
@@ -56,7 +55,6 @@ from .spec import (
 
 __all__ = [
     "CACHE_VERSION",
-    "CacheCounters",
     "DEFAULT_CACHE_DIR",
     "ExperimentRun",
     "ExperimentSpec",

@@ -12,9 +12,9 @@ yields a different key — stale entries are simply never addressed.
 Corrupted or truncated entries are treated as misses (removed and
 recomputed), never as errors.
 
-Hit/miss/store/corrupt events are counted on the instance (for run
-reports) and mirrored into :mod:`repro.observability.metrics` whenever a
-registry is active (``runner.cache.hits`` etc.).
+Hit/miss/store/corrupt events are counted in
+:mod:`repro.observability.metrics` whenever a registry is active
+(``runner.cache.hits`` etc.).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +36,7 @@ CACHE_VERSION = 1
 _FINGERPRINT: str | None = None
 
 
-def code_fingerprint(refresh: bool = False) -> str:
+def code_fingerprint() -> str:
     """SHA-256 over every ``.py`` file of the installed ``repro`` package.
 
     Memoized per process: the sources cannot change under a running
@@ -45,7 +44,7 @@ def code_fingerprint(refresh: bool = False) -> str:
     points.
     """
     global _FINGERPRINT
-    if _FINGERPRINT is None or refresh:
+    if _FINGERPRINT is None:
         import repro
 
         root = Path(repro.__file__).resolve().parent
@@ -88,22 +87,11 @@ def cache_key(prefix: Any, params: dict[str, Any]) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class CacheCounters:
-    """Per-instance event counts (mirrored into observability metrics)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-
-
 class ResultCache:
     """JSON point results under ``root``, addressed by :func:`cache_key`."""
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
         self.root = Path(root)
-        self.counters = CacheCounters()
 
     def path_for(self, experiment_id: str, key: str) -> Path:
         return self.root / experiment_id / f"{key}.json"
@@ -124,14 +112,12 @@ class ResultCache:
                 raise KeyError("entry does not match its address")
             value = entry["value"]
         except (ValueError, KeyError, TypeError):
-            self.counters.corrupt += 1
             metric_counter("runner.cache.corrupt").inc()
             try:
                 path.unlink()
             except OSError:
                 pass
             return False, self._miss()
-        self.counters.hits += 1
         metric_counter("runner.cache.hits").inc()
         return True, value
 
@@ -155,12 +141,10 @@ class ResultCache:
         tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(entry, indent=1) + "\n")
         os.replace(tmp, path)
-        self.counters.stores += 1
         metric_counter("runner.cache.stores").inc()
         return path
 
     def _miss(self) -> None:
-        self.counters.misses += 1
         metric_counter("runner.cache.misses").inc()
         return None
 

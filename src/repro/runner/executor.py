@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import importlib
 import multiprocessing
-import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
@@ -59,7 +58,6 @@ class ExperimentRun:
     points: int
     cache_hits: int
     cache_misses: int
-    elapsed_s: float
     seed: int | None = None
 
     def format(self) -> str:
@@ -83,7 +81,6 @@ def run_experiment(
     spec = REGISTRY.get(experiment_id)
     if machine is None:
         machine = _default_machine()
-    start = time.perf_counter()
     points = _checked_points(spec, machine)
     if seed is not None:
         if seed < 0:
@@ -135,7 +132,6 @@ def run_experiment(
         points=len(points),
         cache_hits=hits,
         cache_misses=len(pending),
-        elapsed_s=time.perf_counter() - start,
         seed=seed,
     )
 

@@ -114,7 +114,6 @@ class ServiceResponse:
 class OccurrenceRecord:
     """One slot occurrence, for invariant checks and the occurrence log."""
 
-    position: int
     cycle: int
     slot: str
     start_s: float
@@ -324,7 +323,6 @@ class CollectiveService:
                 entry.handle.set_result(response)
         self.occurrences.append(
             OccurrenceRecord(
-                position=self._position,
                 cycle=cycle_index,
                 slot=slot.name,
                 start_s=start_s,

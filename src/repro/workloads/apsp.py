@@ -10,10 +10,8 @@ AllGather).  This module reproduces that structure three ways:
 * :func:`floyd_warshall_reference` — the textbook O(n³) recurrence;
 * :func:`distributed_floyd_warshall` — row-sharded blocked FW over a
   collective backend, bit-exact against the reference;
-* :class:`ApspWorkload` — the per-round phase list whose chained
-  Broadcast + AllGather compiles to a
-  :class:`~repro.core.schedule.ScheduleChain` via
-  :func:`apsp_round_chain`.
+* :class:`ApspWorkload` — the per-round phase list: a Broadcast of the
+  pivot rows chained with an AllGather of the pivot-column slices.
 
 Distances are int64; unreachable is the *finite* sentinel
 :data:`INFINITE_DISTANCE`, chosen so that a min-plus sum involving it
@@ -230,36 +228,6 @@ def distributed_floyd_warshall(
             )
 
     return np.vstack(slabs)
-
-
-def apsp_round_chain(shape, num_vertices: int, block: int, round_index: int):
-    """Compile one pivot round's collectives as a ScheduleChain.
-
-    The Broadcast (pivot rows, rooted at the round's owner DPU) and the
-    AllGather (pivot-column slices) are barrier-separated links of one
-    chain; schedules come from the active schedule cache, so sweeping
-    rounds re-compiles nothing but the per-root broadcasts.
-    """
-    from ..core.schedule import ScheduleChain
-    from ..schedcache import cached_build_schedule
-
-    rows_per, rounds = apsp_shard_geometry(
-        num_vertices, block, shape.num_dpus
-    )
-    if not 0 <= round_index < rounds:
-        raise WorkloadError(
-            f"APSP round {round_index} out of range [0, {rounds})"
-        )
-    owner = (round_index * block) // rows_per
-    bcast = cached_build_schedule(
-        Collective.BROADCAST, shape, block * num_vertices, root=owner
-    )
-    gather = cached_build_schedule(
-        Collective.ALL_GATHER, shape, rows_per * block
-    )
-    return ScheduleChain(
-        (bcast, gather), name=f"apsp-round-{round_index}"
-    )
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.indices.size) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 

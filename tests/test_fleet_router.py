@@ -531,6 +531,36 @@ class TestFastPaths:
         assert digest == SNAPSHOT_SHA256
 
 
+class TestOutagePlans:
+    def test_concurrent_submits_inject_each_plan_once(self, monkeypatch):
+        """Submits that arrive while the outage's injection awaits the
+        shard's close must not sample and inject the same plan again."""
+        from repro.fleet import router
+
+        calls = []
+        sample_fault_set = router.sample_fault_set
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sample_fault_set(*args, **kwargs)
+
+        monkeypatch.setattr(router, "sample_fault_set", counting)
+        config = fleet_config(outages=(kill_shard_outage(0, 4),))
+
+        async def go():
+            async with FleetRouter(config, TINY) as fleet:
+                # Eight submits in flight at once: the fourth crosses
+                # the plan and awaits the shard's close while the rest
+                # enter ``submit`` behind it.
+                await asyncio.gather(
+                    *(fleet.submit(t, ar()) for t in "abcdabcd")
+                )
+                await fleet.drain()
+
+        run(go())
+        assert len(calls) == 1
+
+
 class TestDefaults:
     def test_default_fleet_config_shape(self):
         config = FleetConfig()

@@ -30,6 +30,11 @@ COMPARED_FIELDS = tuple(
 )
 
 
+def complete_cycle(message: Message, stats: SimStats) -> int:
+    """The cycle ``message``'s last flit was delivered in ``stats``' run."""
+    return message.inject_start_cycle + stats.per_message_latency[message.msg_id]
+
+
 def run_event_loop(network, messages, barriers=None, max_cycles=200_000):
     sim = NocSimulator(network, list(messages), record_grants=True)
     if barriers is not None:
@@ -353,9 +358,13 @@ class TestBarrierReleaseOrdering:
         ]
         sim = NocSimulator(net, messages)
         sim.set_barriers({0: 2, 1: 5, 2: 9})
-        sim.run()
-        assert messages[1].inject_start_cycle >= messages[0].complete_cycle
-        assert messages[2].inject_start_cycle >= messages[1].complete_cycle
+        stats = sim.run()
+        assert messages[1].inject_start_cycle >= complete_cycle(
+            messages[0], stats
+        )
+        assert messages[2].inject_start_cycle >= complete_cycle(
+            messages[1], stats
+        )
 
     def test_same_barrier_runs_concurrently(self):
         shape = Shape(4, 1, 1)
@@ -400,8 +409,10 @@ class TestBarrierReleaseOrdering:
         assert_equivalent(net, messages, barriers)
         sim = NocSimulator(net, messages)
         sim.set_barriers(barriers)
-        sim.run()
-        assert messages[2].inject_start_cycle >= messages[1].complete_cycle
+        stats = sim.run()
+        assert messages[2].inject_start_cycle >= complete_cycle(
+            messages[1], stats
+        )
 
     def test_barrier_release_order_is_sorted_not_insertion(self):
         shape = Shape(4, 1, 1)
@@ -413,8 +424,10 @@ class TestBarrierReleaseOrdering:
         sim = NocSimulator(net, messages)
         # Insertion order deliberately reversed vs barrier order.
         sim.set_barriers({1: 7, 0: 1})
-        sim.run()
-        assert messages[1].inject_start_cycle >= messages[0].complete_cycle
+        stats = sim.run()
+        assert messages[1].inject_start_cycle >= complete_cycle(
+            messages[0], stats
+        )
 
 
 class TestDegenerateRuns:

@@ -21,7 +21,7 @@ def make_link(**kwargs):
 
 def make_flit():
     msg = Message(msg_id=0, src=0, dst=1, num_flits=1)
-    return Flit(message=msg, seq=0, path=())
+    return Flit(message=msg, path=())
 
 
 class TestCredits:

@@ -98,7 +98,6 @@ class TestReset:
 
         flit = Flit(
             message=Message(msg_id=0, src=0, dst=8, num_flits=1),
-            seq=0,
             path=(),
         )
         net.reset()

@@ -6,6 +6,8 @@ from repro.core import Shape
 from repro.errors import SimulationError
 from repro.noc import Message, NocNetwork, NocSimulator
 
+from .test_noc_event_loop import complete_cycle
+
 
 @pytest.fixture
 def net() -> NocNetwork:
@@ -23,10 +25,12 @@ class TestSingleMessage:
     def test_latency_scales_with_flits(self, net):
         dst = net.shape.dpu(0, 0, 1)
         short = Message(msg_id=0, src=0, dst=dst, num_flits=2)
-        NocSimulator(net, [short]).run()
+        short_stats = NocSimulator(net, [short]).run()
         long = Message(msg_id=0, src=0, dst=dst, num_flits=32)
-        NocSimulator(net, [long]).run()
-        assert long.complete_cycle > short.complete_cycle
+        long_stats = NocSimulator(net, [long]).run()
+        assert complete_cycle(long, long_stats) > complete_cycle(
+            short, short_stats
+        )
 
     def test_ready_cycle_delays_injection(self, net):
         dst = net.shape.dpu(0, 0, 1)
@@ -38,12 +42,14 @@ class TestSingleMessage:
         neighbor = Message(
             msg_id=0, src=0, dst=net.shape.dpu(0, 0, 1), num_flits=8
         )
-        NocSimulator(net, [neighbor]).run()
+        neighbor_stats = NocSimulator(net, [neighbor]).run()
         remote = Message(
             msg_id=0, src=0, dst=net.shape.dpu(0, 1, 1), num_flits=8
         )
-        NocSimulator(net, [remote]).run()
-        assert remote.complete_cycle > neighbor.complete_cycle
+        remote_stats = NocSimulator(net, [remote]).run()
+        assert complete_cycle(remote, remote_stats) > complete_cycle(
+            neighbor, neighbor_stats
+        )
 
 
 class TestDependencies:
@@ -56,8 +62,8 @@ class TestDependencies:
             num_flits=8,
             deps=(0,),
         )
-        NocSimulator(net, [a, b]).run()
-        assert b.inject_start_cycle > a.complete_cycle - 1
+        stats = NocSimulator(net, [a, b]).run()
+        assert b.inject_start_cycle > complete_cycle(a, stats) - 1
 
     def test_duplicate_ids_rejected(self, net):
         msgs = [
@@ -76,8 +82,8 @@ class TestBarriers:
         second = Message(msg_id=1, src=d1, dst=d2, num_flits=8)
         sim = NocSimulator(net, [first, second])
         sim.set_barriers({0: 0, 1: 1})
-        sim.run()
-        assert second.inject_start_cycle >= first.complete_cycle
+        stats = sim.run()
+        assert second.inject_start_cycle >= complete_cycle(first, stats)
 
     def test_barrier_for_unknown_message_rejected(self, net):
         sim = NocSimulator(
@@ -100,10 +106,10 @@ class TestContention:
         solo_msg = Message(
             msg_id=0, src=net.shape.dpu(0, 0, 1), dst=dst, num_flits=16
         )
-        NocSimulator(net, [solo_msg]).run()
+        solo = NocSimulator(net, [solo_msg]).run()
         # Two opposite-direction senders land on different ring links, so
         # they need not serialize; but total time is at least the solo time.
-        assert both.cycles >= solo_msg.complete_cycle
+        assert both.cycles >= complete_cycle(solo_msg, solo)
 
     def test_crossbar_conflict_counted(self, net):
         """Two chips sending to the same chip contend at its DQ link."""

@@ -52,7 +52,7 @@ class TestExactMode:
         values = [0.4, 12.0, 0.004, 3.0, 3.0, 99.0]
         for v in values:
             sketch.observe(v)
-        assert not sketch.bucketed
+        assert sketch.samples is not None
         for q in (10, 50, 90, 99, 100):
             assert sketch.quantile(q) == _exact_percentile(values, q)
 
@@ -83,7 +83,6 @@ class TestBucketedMode:
         sketch = LogBucketSketch(max_exact=10)
         for i in range(11):
             sketch.observe(1.0 + i)
-        assert sketch.bucketed
         assert sketch.samples is None
         assert sketch.count == 11
 
@@ -112,7 +111,7 @@ class TestBucketedMode:
         sketch = LogBucketSketch(max_exact=2)
         for v in (-1.0, 0.0, -2.0, 5.0):
             sketch.observe(v)
-        assert sketch.bucketed
+        assert sketch.samples is None
         assert sketch.min == -2.0
         # Half the mass is nonpositive, so p50 resolves to the minimum.
         assert sketch.quantile(50) == -2.0
@@ -126,7 +125,7 @@ class TestMerge:
         for v in (3.0, 4.0):
             b.observe(v)
         a.merge(b)
-        assert not a.bucketed
+        assert a.samples is not None
         assert a.count == 4
         assert a.quantile(100) == 4.0
 
@@ -138,7 +137,7 @@ class TestMerge:
         for v in (3.0, 4.0):
             b.observe(v)
         a.merge(b)
-        assert a.bucketed
+        assert a.samples is None
         assert a.count == 4
 
     def test_merge_rejects_mismatched_resolution(self):
@@ -211,7 +210,7 @@ def _stats(sketch):
             pytest.approx(sketch.quantile(q), rel=1e-12)
             for q in (50, 90, 99, 99.9)
         ),
-        sketch.bucketed,
+        sketch.samples is None,
     )
 
 
@@ -239,7 +238,7 @@ class TestMergeProperties:
         for q in (50, 90, 99, 99.9):
             exact = _exact_percentile(values, q)
             estimate = sketch.quantile(q)
-            if not sketch.bucketed:
+            if sketch.samples is not None:
                 assert estimate == exact
             else:
                 assert exact * (1 - 1e-9) <= estimate

@@ -123,13 +123,6 @@ class TestRegistry:
         assert snap["a.peak"]["kind"] == "gauge"
         assert snap["c.dist"]["kind"] == "histogram"
 
-    def test_disabled_registry_hands_out_null_instruments(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("a") is NULL_COUNTER
-        assert reg.gauge("a") is NULL_GAUGE
-        assert reg.histogram("a") is NULL_HISTOGRAM
-        assert reg.snapshot() == {}
-
 
 class TestActiveRegistry:
     def test_helpers_return_null_singletons_when_off(self):

@@ -1,4 +1,4 @@
-"""Every ``src/repro`` module and def is reached from a run path.
+"""Every ``src/repro`` module, def and stored attribute is used by a run path.
 
 The roots are the CLI, every registered experiment, every ``repro``
 entry point the ``pimbench`` benchmark imports or wraps, every
@@ -16,13 +16,24 @@ API ``tests/test_public_api.py`` pins).  The walk reads source with
 Its def rule: a top-level function or class, or a method, in a reached
 module is used when its name appears outside its own body, in a reached
 module, an example or ``pimbench/*.py``.  A use is an ``ast.Name``, an
-``Attribute.attr``, an import alias or a word in a string constant.  A
-sub-package ``__init__``'s re-exports and ``__all__`` list are not uses,
-and dunder methods are exempt.  Name matching undercounts dead code: a
-def that shares its name with a used one counts as used.
+``Attribute.attr``, an import alias or a word in a string constant that
+is not a docstring.  A sub-package ``__init__``'s re-exports and
+``__all__`` list are not uses, and dunder methods are exempt.
 
-Run ``python tests/test_reachability.py`` to print the unreached modules
-and defs.
+Its attribute rule: every attribute name a reached module stores
+(``x.a = ...``, ``x.a += ...``) is read in a reached module, an example
+or ``pimbench/*.py``.  A read is an ``ast.Attribute`` in load context or
+a non-docstring string constant that is exactly the name, so
+``getattr(obj, "a")`` counts.
+
+Reads and uses in ``tests/`` and ``benchmarks/`` never count: state or a
+def that only a test looks at is dead to every run.  Name matching
+undercounts dead code: a def or attribute that shares its name with a
+used one counts as used.  Both rules take an explicit ``modules`` and
+``scripts`` set, so they can be checked on synthetic source trees.
+
+Run ``python tests/test_reachability.py`` to print the unreached
+modules, unused defs and write-only attributes.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 import ast
 import functools
 import re
+import textwrap
 from collections import defaultdict
 from pathlib import Path
 
@@ -191,6 +203,30 @@ def _is_reexport(node: ast.AST) -> bool:
     )
 
 
+@functools.cache
+def _docstrings(path: Path) -> frozenset[ast.Constant]:
+    """The module, class and function docstring constants of ``path``."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return frozenset(
+        node.body[0].value
+        for node in ast.walk(_tree(path))
+        if isinstance(node, kinds)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    )
+
+
+def _is_string(node: ast.AST, path: Path) -> bool:
+    """A string constant of ``path`` that is not a docstring."""
+    return (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node not in _docstrings(path)
+    )
+
+
 def _uses(path: Path) -> dict[str, list[int]]:
     """Name -> line numbers of every use in the file at ``path``."""
     tree = _tree(path)
@@ -206,7 +242,7 @@ def _uses(path: Path) -> dict[str, list[int]]:
                 names = [node.attr]
             elif isinstance(node, ast.alias):
                 names = [node.name.rpartition(".")[2]]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif _is_string(node, path):
                 names = _WORD.findall(node.value)
             else:
                 continue
@@ -215,14 +251,23 @@ def _uses(path: Path) -> dict[str, list[int]]:
     return found
 
 
-def unused_defs() -> list[str]:
-    """``module:qualname`` of every def in a reached module no use names."""
-    modules = sorted(reached())
-    files = [MODULES[name] for name in modules] + _scripts()
-    uses = {path: _uses(path) for path in files}
+def _sources(
+    modules: dict[str, Path] | None, scripts: list[Path] | None
+) -> tuple[dict[str, Path], list[Path]]:
+    """The checked modules and anchoring scripts; the repo's by default."""
+    if modules is None:
+        modules = {name: MODULES[name] for name in sorted(reached())}
+    return modules, _scripts() if scripts is None else scripts
+
+
+def unused_defs(
+    modules: dict[str, Path] | None = None, scripts: list[Path] | None = None
+) -> list[str]:
+    """``module:qualname`` of every def in ``modules`` no use names."""
+    modules, scripts = _sources(modules, scripts)
+    uses = {path: _uses(path) for path in [*modules.values(), *scripts]}
     stray = []
-    for module in modules:
-        path = MODULES[module]
+    for module, path in modules.items():
         for qualname, node in _defs(_tree(path)):
             name = qualname.rpartition(".")[2]
             own = range(node.lineno, node.end_lineno + 1)
@@ -233,6 +278,28 @@ def unused_defs() -> list[str]:
             ):
                 stray.append(f"{module}:{qualname}")
     return stray
+
+
+def write_only_attributes(
+    modules: dict[str, Path] | None = None, scripts: list[Path] | None = None
+) -> list[str]:
+    """``module:line .attr`` of every attribute store no read names."""
+    modules, scripts = _sources(modules, scripts)
+    reads = set()
+    for path in [*modules.values(), *scripts]:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif _is_string(node, path):
+                reads.add(node.value)
+    return [
+        f"{module}:{node.lineno} .{node.attr}"
+        for module, path in modules.items()
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr not in reads
+    ]
 
 
 class TestReachability:
@@ -250,6 +317,14 @@ class TestReachability:
             "defs no reached module, example or pimbench file names outside "
             f"their own body: {stray}; delete them or move them into the "
             "tests that use them"
+        )
+
+    def test_every_stored_attribute_is_read(self):
+        stray = write_only_attributes()
+        assert not stray, (
+            "attributes src/ stores but no reached module, example or "
+            f"pimbench file reads: {stray}; delete the state or read it "
+            "where a run needs it"
         )
 
     def test_side_effect_imports_are_edges(self):
@@ -270,8 +345,96 @@ class TestReachability:
         )
 
 
+def _write(root: Path, name: str, source: str) -> Path:
+    path = root / name
+    path.write_text(textwrap.dedent(source))
+    return path
+
+
+BOX = """
+    class Box:
+        def __init__(self):
+            self.size = 1
+    """
+
+
+class TestGuardRules:
+    """Each rule on tiny synthetic source trees."""
+
+    def test_write_only_self_attribute_is_flagged(self, tmp_path):
+        box = _write(tmp_path, "box.py", BOX)
+        assert write_only_attributes({"box": box}, []) == ["box:4 .size"]
+
+    def test_augmented_store_without_a_load_is_flagged(self, tmp_path):
+        tally = _write(
+            tmp_path,
+            "tally.py",
+            """
+            def bump(counters):
+                counters.hits += 1
+            """,
+        )
+        assert write_only_attributes({"tally": tally}, []) == [
+            "tally:3 .hits"
+        ]
+
+    def test_def_named_only_in_a_docstring_is_flagged(self, tmp_path):
+        mod = _write(
+            tmp_path,
+            "mod.py",
+            '''
+            """Calls ``helper`` on request."""
+
+
+            def helper():
+                """``helper`` names itself here too."""
+                return 1
+            ''',
+        )
+        assert unused_defs({"mod": mod}, []) == ["mod:helper"]
+
+    def test_getattr_with_a_string_is_a_read(self, tmp_path):
+        box = _write(
+            tmp_path,
+            "box.py",
+            BOX
+            + """
+    def size_of(box):
+        return getattr(box, "size")
+    """,
+        )
+        assert write_only_attributes({"box": box}, []) == []
+
+    def test_exact_name_string_is_a_read(self, tmp_path):
+        source = """
+            def reset(counters):
+                counters.hits = 0
+                return {}
+            """
+        named = _write(tmp_path, "named.py", source.format('("hits",)'))
+        worded = _write(tmp_path, "worded.py", source.format('"hits reset"'))
+        assert write_only_attributes({"named": named}, []) == []
+        assert write_only_attributes({"worded": worded}, []) == [
+            "worded:3 .hits"
+        ]
+
+    def test_load_in_a_script_is_a_read(self, tmp_path):
+        box = _write(tmp_path, "box.py", BOX)
+        bench = _write(
+            tmp_path,
+            "bench.py",
+            """
+            def report(box):
+                return box.size
+            """,
+        )
+        assert write_only_attributes({"box": box}, [bench]) == []
+
+
 if __name__ == "__main__":
     for name in unreached():
         print(f"module {name}")
     for name in unused_defs():
         print(f"def    {name}")
+    for name in write_only_attributes():
+        print(f"attr   {name}")

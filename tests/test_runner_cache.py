@@ -21,6 +21,7 @@ from repro.collectives.patterns import Collective, ReduceOp
 from repro.config import RunnerConfig, pimnet_sim_system
 from repro.config.presets import small_test_system, upmem_server
 from repro.errors import ConfigurationError, ReproError, RunnerError
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.runner import (
     CACHE_VERSION,
     ResultCache,
@@ -278,23 +279,28 @@ class TestPinnedKeys:
 
 
 class TestCorruptionHandling:
+    @pytest.fixture(autouse=True)
+    def registry(self):
+        with use_metrics(MetricsRegistry()) as registry:
+            yield registry
+
     def _seeded_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = _key("exp", MACHINE, {"n": 1})
         path = cache.put("exp", key, {"answer": 42}, params={"n": 1})
         return cache, key, path
 
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, registry):
         cache, key, _ = self._seeded_cache(tmp_path)
         hit, value = cache.get("exp", key)
         assert hit and value == {"answer": 42}
-        assert cache.counters.hits == 1
+        assert registry.counters["runner.cache.hits"].value == 1
 
-    def test_absent_entry_is_a_miss(self, tmp_path):
+    def test_absent_entry_is_a_miss(self, tmp_path, registry):
         cache = ResultCache(tmp_path / "cache")
         hit, value = cache.get("exp", "0" * 64)
         assert not hit and value is None
-        assert cache.counters.misses == 1
+        assert registry.counters["runner.cache.misses"].value == 1
 
     @pytest.mark.parametrize(
         "damage",
@@ -306,24 +312,26 @@ class TestCorruptionHandling:
         ],
         ids=["truncated", "garbage", "no-schema", "wrong-version"],
     )
-    def test_damaged_entry_is_a_miss_not_an_error(self, tmp_path, damage):
+    def test_damaged_entry_is_a_miss_not_an_error(
+        self, tmp_path, registry, damage
+    ):
         cache, key, path = self._seeded_cache(tmp_path)
         path.write_text(damage(path.read_text()))
         hit, value = cache.get("exp", key)
         assert not hit and value is None
-        assert cache.counters.corrupt == 1
+        assert registry.counters["runner.cache.corrupt"].value == 1
         assert not path.exists(), "damaged entry must be dropped"
         # ... and the slot is rewritable afterwards.
         cache.put("exp", key, {"answer": 43})
         assert cache.get("exp", key) == (True, {"answer": 43})
 
-    def test_entry_under_wrong_address_is_corrupt(self, tmp_path):
+    def test_entry_under_wrong_address_is_corrupt(self, tmp_path, registry):
         cache, key, path = self._seeded_cache(tmp_path)
         other_key = _key("exp", MACHINE, {"n": 2})
         path.rename(cache.path_for("exp", other_key))
         hit, _ = cache.get("exp", other_key)
         assert not hit
-        assert cache.counters.corrupt == 1
+        assert registry.counters["runner.cache.corrupt"].value == 1
 
     def test_clear_reports_removed_count(self, tmp_path):
         cache, _, _ = self._seeded_cache(tmp_path)

@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import registry
+from repro.collectives.patterns import Collective
 from repro.config import small_test_system
-from repro.core import Shape, chain_timing, validate_schedule
+from repro.core import ScheduleChain, Shape, chain_timing, validate_schedule
 from repro.errors import ScheduleError, WorkloadError
 from repro.noc.network import NocNetwork
 from repro.noc.simulator import NocSimulator
 from repro.noc.workload import messages_from_schedule
+from repro.schedcache import cached_build_schedule
 from repro.workloads import (
     ApspWorkload,
     INFINITE_DISTANCE,
-    apsp_round_chain,
     apsp_shard_geometry,
     comm_trace,
     distributed_floyd_warshall,
@@ -30,6 +31,33 @@ from repro.workloads import (
 )
 
 pytestmark = pytest.mark.workloads
+
+
+def apsp_round_chain(shape, num_vertices: int, block: int, round_index: int):
+    """Compile one pivot round's collectives as a ScheduleChain.
+
+    The Broadcast (pivot rows, rooted at the round's owner DPU) and the
+    AllGather (pivot-column slices) are barrier-separated links of one
+    chain; schedules come from the active schedule cache, so sweeping
+    rounds re-compiles nothing but the per-root broadcasts.
+    """
+    rows_per, rounds = apsp_shard_geometry(
+        num_vertices, block, shape.num_dpus
+    )
+    if not 0 <= round_index < rounds:
+        raise WorkloadError(
+            f"APSP round {round_index} out of range [0, {rounds})"
+        )
+    owner = (round_index * block) // rows_per
+    bcast = cached_build_schedule(
+        Collective.BROADCAST, shape, block * num_vertices, root=owner
+    )
+    gather = cached_build_schedule(
+        Collective.ALL_GATHER, shape, rows_per * block
+    )
+    return ScheduleChain(
+        (bcast, gather), name=f"apsp-round-{round_index}"
+    )
 
 
 @pytest.fixture(params=["P", "B", "S"])
@@ -215,8 +243,7 @@ class TestScheduleChain:
         assert sum(total.values()) > 0
 
     def test_chain_rejects_mixed_shapes(self):
-        from repro.core import ScheduleChain, build_schedule
-        from repro.collectives.patterns import Collective
+        from repro.core import build_schedule
 
         a = build_schedule(
             Collective.BROADCAST, Shape(2, 2, 2), 16, root=0
@@ -226,8 +253,6 @@ class TestScheduleChain:
             ScheduleChain((a, b))
 
     def test_chain_rejects_empty(self):
-        from repro.core import ScheduleChain
-
         with pytest.raises(ScheduleError):
             ScheduleChain(())
 
